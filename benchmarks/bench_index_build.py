@@ -11,7 +11,8 @@ Measures, per network scale:
   scatter) and ``flat`` (flat-array store, numpy vectorized when
   available) — with an exact-equality check of every probed distance
   across kernels, plus point ``distance()`` throughput for reference;
-* batched vs point-query greedy search, asserting identical teams.
+* one warm greedy top-k sweep per kernel, asserting identical teams
+  (roots, assignments and trees) across the kernels.
 
 The PR-6 acceptance gate is a >= ``--min-query-speedup`` batched
 throughput win of the ``flat`` kernel over the ``dict`` baseline at the
@@ -33,7 +34,8 @@ import sys
 import time
 
 from _bench_json import usable_cores, write_json_report
-from repro.core.greedy import GreedyTeamFinder
+from repro.core.greedy import GreedyTeamFinder, search_graph_for
+from repro.core.objectives import ObjectiveScales
 from repro.eval.workload import SCALE_CONFIGS, benchmark_network, sample_projects
 from repro.graph.pll import PrunedLandmarkLabeling
 from repro.graph.pll_kernel import numpy_available
@@ -128,20 +130,41 @@ def bench_query_kernels(
     return point_qps, batch_qps
 
 
-def bench_greedy(network) -> tuple[float, float]:
-    """(point s, batched s) for one top-k sweep; asserts identical teams."""
-    project = sample_projects(network, 4, 1, seed=23)[0]
-    batched = GreedyTeamFinder(network)
-    point = GreedyTeamFinder(network, batch_queries=False)
-    t0 = time.perf_counter()
-    teams_point = point.find_top_k(project, k=5)
-    point_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    teams_batched = batched.find_top_k(project, k=5)
-    batched_s = time.perf_counter() - t0
-    if [t.key() for t in teams_point] != [t.key() for t in teams_batched]:
-        raise AssertionError("batched greedy diverged from point-query greedy")
-    return point_s, batched_s
+def bench_greedy(network, order_strategy: str) -> dict[str, float]:
+    """Seconds of one warm top-k sweep per kernel; asserts identical teams.
+
+    Each kernel's finder first sweeps one project (memoizing the root
+    distances and building the node-cost column), then the timed sweep
+    answers a second one.  Both answers must match across kernels in
+    root, assignment and tree.
+    """
+    warm, timed = sample_projects(network, 4, 2, seed=23)
+    scales = ObjectiveScales.from_network(network)
+    graph = search_graph_for(network, "sa-ca-cc", 0.6, scales)
+    seconds: dict[str, float] = {}
+    reference = None
+    for kernel in KERNELS:
+        finder = GreedyTeamFinder(
+            network,
+            scales=scales,
+            search_graph=graph,
+            oracle=PrunedLandmarkLabeling(
+                graph, kernel=kernel, order_strategy=order_strategy
+            ),
+        )
+        teams = finder.find_top_k(warm, k=5)
+        t0 = time.perf_counter()
+        teams += finder.find_top_k(timed, k=5)
+        seconds[kernel] = time.perf_counter() - t0
+        answer = [
+            (t.root, sorted(t.assignments.items()), sorted(t.tree.edges()))
+            for t in teams
+        ]
+        if reference is None:
+            reference = answer
+        elif answer != reference:
+            raise AssertionError(f"greedy teams diverged under kernel {kernel!r}")
+    return seconds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,10 +230,11 @@ def main(argv: list[str] | None = None) -> int:
                 else " (baseline)"
             )
             print(f"  batched {kernel:<8}  : {batch_qps[kernel]:,.0f} q/s{note}")
-        point_s, batched_s = bench_greedy(network)
+        greedy_s = bench_greedy(network, args.order)
         print(
-            f"  greedy top-5: point {point_s:.3f}s, batched {batched_s:.3f}s "
-            f"(x{point_s / batched_s:.2f}, identical teams)"
+            "  warm greedy top-5: "
+            + ", ".join(f"{k} {s:.3f}s" for k, s in greedy_s.items())
+            + " (identical teams)"
         )
         scales_report[scale] = {
             "nodes": graph.num_nodes,
@@ -219,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
             "point_qps": point_qps,
             "batch_qps": dict(batch_qps),
             "flat_vs_dict_speedup": kernel_speedup,
-            "greedy_point_seconds": point_s,
-            "greedy_batched_seconds": batched_s,
+            "greedy_seconds": greedy_s,
         }
 
     status = 0

@@ -14,7 +14,12 @@ measured on:
 
 In every authority-aware mode, a root that itself holds the skill is
 assigned it at score zero (Section 3.2.2).  ``DIST`` queries go through a
-pluggable distance oracle — the paper's 2-hop cover by default.
+pluggable distance oracle — the paper's 2-hop cover by default — as one
+``distances_from(root, every holder of the project)`` call per root.
+Inverse authorities come from the network's per-version column
+(:meth:`ExpertNetwork.inverse_authorities`); a solve turns them into
+``gamma * a'`` and ``lam * a'`` once per holder, not once per (root,
+holder).
 
 Final teams are *materialized* from a single Dijkstra tree rooted at the
 winning root (all root-to-holder paths then share edges consistently, so
@@ -41,6 +46,17 @@ __all__ = ["GreedyTeamFinder", "OBJECTIVES", "search_graph_for"]
 OBJECTIVES = ("cc", "ca", "ca-cc", "sa-ca-cc")
 
 _INF = float("inf")
+
+#: One skill's sorted holders as ``(holder, gamma * a', lam * a')``.
+_Holders = list[tuple[str, float, float]]
+#: A solve's skills, sorted, each with its :data:`_Holders`.
+_Plan = list[tuple[str, _Holders]]
+
+
+def _targets(plan: _Plan) -> list[str]:
+    """Every holder of the project's skills, once each: the targets of a
+    root's single ``distances_from`` call."""
+    return list(dict.fromkeys(h for _, holders in plan for h, _, _ in holders))
 
 
 def search_graph_for(
@@ -81,12 +97,6 @@ class GreedyTeamFinder:
     index_workers:
         Worker processes for PLL index construction (``None`` uses the
         module default, settable via the CLI's ``--parallel-index``).
-    batch_queries:
-        When true (default), each (root, skill) sweep issues one batched
-        ``distances_from`` call instead of per-candidate point lookups.
-        Scores — and therefore teams — are identical either way; the
-        point-query path remains for oracles without a batch API and as
-        the reference in the equivalence tests.
     root_candidates:
         Optional restriction of the root loop (Algorithm 1 line 3); by
         default every expert is tried, as in the paper.
@@ -108,7 +118,6 @@ class GreedyTeamFinder:
         oracle: DistanceOracle | None = None,
         search_graph: Graph | None = None,
         index_workers: int | None = None,
-        batch_queries: bool = True,
     ) -> None:
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; expected {OBJECTIVES}")
@@ -121,6 +130,8 @@ class GreedyTeamFinder:
         )
         self.gamma = self.evaluator.gamma
         self.lam = self.evaluator.lam
+        # The SA weight of the greedy score: only Problem 5 blends it in.
+        self._blend = self.lam if objective == "sa-ca-cc" else 0.0
         # An injected search graph must come from `search_graph_for` with
         # this finder's (objective, gamma, scales) — the engine passes it
         # alongside the matching oracle so neither is built twice.
@@ -136,9 +147,6 @@ class GreedyTeamFinder:
             else build_oracle(
                 self._search_graph, oracle_kind, workers=index_workers
             )
-        )
-        self._batch_queries = batch_queries and hasattr(
-            self._oracle, "distances_from"
         )
         self._roots = (
             list(root_candidates)
@@ -170,53 +178,68 @@ class GreedyTeamFinder:
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    def _skill_score(self, root: str, candidate: str) -> float:
-        """The mode-dependent score of assigning ``candidate`` from ``root``."""
-        return self._score_from_distance(
-            self._oracle.distance(root, candidate), candidate
-        )
+    def _plan(self, skills: Sequence[str]) -> _Plan:
+        """Per skill, its sorted holders with their per-solve constants.
 
-    def _score_from_distance(self, dist: float, candidate: str) -> float:
-        """Combine an oracle distance into the mode-dependent score.
-
-        Shared by the point-query and batched paths so both compute
-        bit-identical floats (the equivalence tests compare whole teams).
+        Every mode scores a holder ``v`` from a root as
+        ``(1 - lam) * (DIST - gamma * a'(v)) + lam * a'(v)`` (Section
+        3.2): ``sa-ca-cc`` as written, ``ca``/``ca-cc`` with ``lam = 0``
+        and ``cc`` with ``gamma = lam = 0`` too.  Multiplying by 1 and
+        adding or subtracting 0 are exact, so each mode's score is
+        bit-identical to its own formula.  Each holder carries
+        ``gamma * a'(v)`` and ``lam * a'(v)``, so the sweep pays for node
+        costs once per solve instead of once per (root, holder).  Sorted
+        holders make ties on score keep the lexicographically smallest.
         """
-        if dist == _INF:
-            return _INF
-        if self.objective == "cc":
-            return dist
-        corrected = dist - self.gamma * self.evaluator.node_cost(candidate)
-        if self.objective in ("ca", "ca-cc"):
-            return corrected
-        # sa-ca-cc (Section 3.2.3)
-        node = self.evaluator.node_cost(candidate)
-        return (1.0 - self.lam) * corrected + self.lam * node
+        gamma = 0.0 if self.objective == "cc" else self.gamma
+        lam = self._blend
+        node_cost = self.evaluator.node_cost
+        plan: _Plan = []
+        for skill in skills:
+            holders: _Holders = []
+            for holder in sorted(self.network.experts_with_skill(skill)):
+                cost = node_cost(holder)
+                holders.append((holder, gamma * cost, lam * cost))
+            plan.append((skill, holders))
+        return plan
 
-    def _best_holder(
-        self, root: str, candidates: Sequence[str]
-    ) -> tuple[str | None, float]:
-        """Best (holder, score) for one skill from ``root``.
+    def _assign(
+        self, root: str, plan: _Plan, targets: list[str], bound: float
+    ) -> tuple[float, dict[str, str]] | None:
+        """Algorithm 1's inner loop for one root: the best holder per skill.
 
-        ``candidates`` must be sorted: ties on score keep the
-        lexicographically smallest holder in both query modes.  The
-        batched mode fetches every root -> candidate distance in one
-        ``distances_from`` call (one label-array hoist, memoized per
-        root) instead of ``len(candidates)`` point lookups.
+        Returns ``(greedy cost, {skill: holder})``, or ``None`` when a
+        skill is unreachable from ``root`` or the cost reaches ``bound``.
+        A root holding a skill takes it at score zero (Section 3.2.2);
+        for the rest, one ``distances_from(root, targets)`` call fetches
+        every holder distance the root needs.
         """
-        best_expert, best_score = None, _INF
-        if self._batch_queries:
-            dists = self._oracle.distances_from(root, candidates)
-            for candidate in candidates:
-                score = self._score_from_distance(dists[candidate], candidate)
+        root_skills = self.network.skills_of(root)
+        keep = 1.0 - self._blend
+        dists: dict[str, float] | None = None
+        total = 0.0
+        assignment: dict[str, str] = {}
+        for skill, holders in plan:
+            if skill in root_skills:
+                assignment[skill] = root
+                continue
+            if dists is None:
+                dists = self._oracle.distances_from(root, targets)
+            best_expert, best_score = None, _INF
+            for holder, gamma_cost, lam_cost in holders:
+                dist = dists[holder]
+                if dist == _INF:
+                    continue  # unreachable; never forms 0 * inf at lam = 1
+                score = keep * (dist - gamma_cost) + lam_cost
                 if score < best_score:
-                    best_expert, best_score = candidate, score
-        else:
-            for candidate in candidates:
-                score = self._skill_score(root, candidate)
-                if score < best_score:
-                    best_expert, best_score = candidate, score
-        return best_expert, best_score
+                    best_expert, best_score = holder, score
+            if best_expert is None:
+                return None
+            assignment[skill] = best_expert
+            total += best_score
+            if total >= bound:
+                return None  # cannot enter the bounded list
+        return total, assignment
 
     # ------------------------------------------------------------------
     # the root loop (Algorithm 1)
@@ -240,37 +263,18 @@ class GreedyTeamFinder:
         if not skills:
             raise ValueError("project must require at least one skill")
         self.network.skill_index.require_coverable(skills)
-        candidates = {
-            s: sorted(self.network.experts_with_skill(s)) for s in skills
-        }
+        plan = self._plan(skills)
+        targets = _targets(plan)
 
         capacity = max(4 * k, k + 8)
         # Entries: (greedy_cost, tie, root, {skill: expert})
         best: list[tuple[float, int, str, dict[str, str]]] = []
         for tie, root in enumerate(self._roots):
-            total = 0.0
-            assignment: dict[str, str] = {}
-            feasible = True
-            root_skills = self.network.skills_of(root)
             bound = best[-1][0] if len(best) >= capacity else _INF
-            for skill in skills:
-                if skill in root_skills:
-                    # Root holds the skill: zero score, assigned to root.
-                    assignment[skill] = root
-                    continue
-                best_expert, best_score = self._best_holder(
-                    root, candidates[skill]
-                )
-                if best_expert is None:
-                    feasible = False
-                    break
-                assignment[skill] = best_expert
-                total += best_score
-                if total >= bound:
-                    feasible = False  # cannot enter the bounded list
-                    break
-            if not feasible:
+            found = self._assign(root, plan, targets, bound)
+            if found is None:
                 continue
+            total, assignment = found
             insort(best, (total, tie, root, assignment), key=lambda e: (e[0], e[1]))
             if len(best) > capacity:
                 best.pop()
@@ -293,19 +297,11 @@ class GreedyTeamFinder:
         Returns ``None`` when some skill is unreachable from ``root``.
         Exposed for tests and for the qualitative Figure 6 experiment.
         """
-        skills = sorted(set(project))
-        assignment: dict[str, str] = {}
-        root_skills = self.network.skills_of(root)
-        for skill in skills:
-            if skill in root_skills:
-                assignment[skill] = root
-                continue
-            holders = sorted(self.network.experts_with_skill(skill))
-            best_expert, _ = self._best_holder(root, holders)
-            if best_expert is None:
-                return None
-            assignment[skill] = best_expert
-        return self._materialize(root, assignment)
+        plan = self._plan(sorted(set(project)))
+        found = self._assign(root, plan, _targets(plan), _INF)
+        if found is None:
+            return None
+        return self._materialize(root, found[1])
 
     # ------------------------------------------------------------------
     # materialization
@@ -319,8 +315,10 @@ class GreedyTeamFinder:
         come from the *original* network, so evaluation sees real
         communication costs.
         """
-        holders = set(assignment.values())
-        dist, parent = dijkstra(self._search_graph, root, targets=list(holders))
+        # Assignment order, not set order: the tree's edge order (and so
+        # the order CC sums its costs in) must not follow the hash seed.
+        holders = list(dict.fromkeys(assignment.values()))
+        dist, parent = dijkstra(self._search_graph, root, targets=holders)
         tree = Graph()
         tree.add_node(root)
         for holder in holders:

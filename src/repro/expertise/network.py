@@ -111,6 +111,9 @@ class ExpertNetwork:
         self._skills = SkillIndex()
         self._floor = authority_floor
         self._version = 0
+        # (version, {expert: a'(c)}); see `inverse_authorities`.  Reset
+        # wherever `_version` is assigned other than by `_record`.
+        self._inverse_column: tuple[int, dict[str, float]] = (-1, {})
         self._journal: deque[NetworkMutation] = deque()
         self._journal_floor = 0
         for expert in experts:
@@ -160,6 +163,7 @@ class ExpertNetwork:
     def _reset_history(self) -> None:
         """Declare the current state to be version 0 (construction)."""
         self._version = 0
+        self._inverse_column = (-1, {})
         self._journal.clear()
         self._journal_floor = 0
 
@@ -227,6 +231,7 @@ class ExpertNetwork:
                 f"({journal_floor}, {version}]"
             )
         self._version = version
+        self._inverse_column = (-1, {})
         self._journal = deque(records)
         self._journal_floor = journal_floor
 
@@ -406,7 +411,28 @@ class ExpertNetwork:
 
     def inverse_authority(self, expert_id: str) -> float:
         """``a'(c) = 1 / a(c)`` with the configured floor."""
-        return inverse_authority(self.authority(expert_id), floor=self._floor)
+        try:
+            return self.inverse_authorities()[expert_id]
+        except KeyError:
+            raise KeyError(f"unknown expert id {expert_id!r}") from None
+
+    def inverse_authorities(self) -> dict[str, float]:
+        """The column ``{expert: a'(c)}`` at the current version.
+
+        Built lazily once per version and published in one assignment,
+        so a concurrent reader sees a whole column, old or new; every
+        evaluator and solver over this network shares it.  Treat the
+        returned dict as read-only.
+        """
+        version, column = self._inverse_column
+        current = self._version
+        if version != current:
+            column = {
+                c: inverse_authority(float(e.h_index), floor=self._floor)
+                for c, e in self._experts.items()
+            }
+            self._inverse_column = (current, column)
+        return column
 
     def skills_of(self, expert_id: str) -> frozenset[str]:
         """``S(c)``: the expert's skill set."""
@@ -442,9 +468,7 @@ class ExpertNetwork:
     # ------------------------------------------------------------------
     def max_inverse_authority(self) -> float:
         """Upper bound of ``a'`` over the network (used by normalizers)."""
-        if not self._experts:
-            return 0.0
-        return max(self.inverse_authority(c) for c in self._experts)
+        return max(self.inverse_authorities().values(), default=0.0)
 
     def max_edge_weight(self) -> float:
         """Largest communication cost in the network (0 when edgeless)."""

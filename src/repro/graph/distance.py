@@ -14,7 +14,7 @@ implementations are provided:
 
 Both satisfy :class:`DistanceOracle`, including its *batch* entry points
 ``distances_from`` / ``distances_many``: the greedy root sweep issues one
-batched root -> holders query per skill instead of thousands of point
+batched root -> holders query per root instead of thousands of point
 lookups, which removes most of the Python-level dispatch overhead from
 the hot path (measured in ``benchmarks/bench_index_build.py``).  The
 ablation benchmark ``benchmarks/bench_ablation_oracle.py`` swaps one

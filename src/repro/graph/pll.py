@@ -965,15 +965,12 @@ class PrunedLandmarkLabeling:
             # downstream arithmetic and JSON numpy-free.
             vector = flat.row_mins_numpy(src_row).tolist()
             self._source_cache[source] = vector
-        out: dict[Node, float] = {}
-        for target in targets:
-            if target == source:
-                out[target] = 0.0
-                continue
-            row = rank.get(target)
-            if row is None:
-                raise GraphError(f"node {target!r} not in index")
-            out[target] = vector[row]
+        try:
+            out = {target: vector[rank[target]] for target in targets}
+        except KeyError as exc:
+            raise GraphError(f"node {exc.args[0]!r} not in index") from None
+        if source in out:
+            out[source] = 0.0
         return out
 
     def distances_many(

@@ -203,10 +203,12 @@ def dreyfus_wagner(
 
     edges: set[tuple[Node, Node]] = set()
     _reconstruct(full, root, choice, base_parents, others, edges)
+    # Sorted, not set order: the tree's node and edge order (and so the
+    # order a team's costs are summed in) must not follow the hash seed.
     tree = Graph()
-    for node in {root, *others}:
+    for node in terminals:
         tree.add_node(node, **graph.node_data(node))
-    for u, v in edges:
+    for u, v in sorted(edges, key=repr):
         tree.add_edge(u, v, weight=graph.weight(u, v))
     for node in tree.nodes():
         tree.node_data(node).update(graph.node_data(node))

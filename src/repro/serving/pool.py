@@ -130,6 +130,30 @@ def _apply_delta_job(data: bytes) -> int:
     return follower.version
 
 
+#: Upper bound on how long shutting the workers down waits for their
+#: executors' manager threads, so a worker stuck in a job cannot hang it.
+_SHUTDOWN_TIMEOUT_S = 10.0
+
+
+def _shutdown(workers: list[ProcessPoolExecutor]) -> None:
+    """Shut executors down and join their manager threads (bounded).
+
+    ``shutdown(wait=False)`` alone leaves each manager thread tearing
+    down its wakeup pipe while the interpreter may already be exiting;
+    ``concurrent.futures``' exit hook then writes to that pipe as it
+    closes and prints ``OSError: [Errno 9] Bad file descriptor``.  The
+    threads are captured first: ``shutdown`` drops the executor's
+    reference to its own.
+    """
+    managers = [w._executor_manager_thread for w in workers]
+    for worker in workers:
+        worker.shutdown(wait=False, cancel_futures=True)
+    deadline = time.monotonic() + _SHUTDOWN_TIMEOUT_S
+    for thread in managers:
+        if thread is not None:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+
 class EngineReplicaPool:
     """N process-local engine replicas serving one snapshot's state.
 
@@ -228,14 +252,12 @@ class EngineReplicaPool:
             except (OSError, ValueError, pickle.PickleError, BrokenProcessPool):
                 # Constrained sandbox (no fork/spawn): degrade to
                 # in-process serving.
-                for worker in workers:
-                    worker.shutdown(wait=False, cancel_futures=True)
+                _shutdown(workers)
                 self._workers = []
             except BaseException:
                 # A failed warm start is an error, not a degrade — but
                 # never leak spawned workers on the way out.
-                for worker in workers:
-                    worker.shutdown(wait=False, cancel_futures=True)
+                _shutdown(workers)
                 raise
         if not self._workers:
             from ..api.engine import TeamFormationEngine
@@ -535,9 +557,8 @@ class EngineReplicaPool:
         serve again.
         """
         self._closed = True
-        for worker in self._workers:
-            worker.shutdown(wait=False, cancel_futures=True)
-        self._workers = []
+        workers, self._workers = self._workers, []
+        _shutdown(workers)
         self._local = None
 
     def __enter__(self) -> "EngineReplicaPool":

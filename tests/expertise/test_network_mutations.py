@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.expertise import Expert, ExpertNetwork
+from repro.expertise.authority import inverse_authority
 from repro.graph.adjacency import GraphError
 
 
@@ -133,3 +137,48 @@ def test_journal_truncation_returns_none(net, monkeypatch):
     assert [m.version for m in net.mutations_since(2)] == [3, 4, 5]
     with pytest.raises(ValueError):
         net.mutations_since(99)
+
+
+def test_inverse_authority_column_is_whole_under_racing_readers():
+    """Solves read the network concurrently between writes (the engine's
+    reader/writer lock keeps writes exclusive).  Readers that race to
+    rebuild the column for a new version must each see a whole,
+    current column, never a half-built or previous one."""
+    ids = [f"x{i:03d}" for i in range(300)]
+    net = ExpertNetwork([Expert(x, h_index=1) for x in ids])
+    readers = 4
+    barrier = threading.Barrier(readers + 1)
+    errors: list = []
+    expected: dict = {}
+
+    def reader() -> None:
+        for _ in range(40):
+            barrier.wait(timeout=10)  # the write for this round is done
+            try:
+                assert net.inverse_authorities() == expected
+            except BaseException as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+            barrier.wait(timeout=10)  # every read of this round is done
+
+    threads = [threading.Thread(target=reader, daemon=True) for _ in range(readers)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for h in range(2, 42):
+            for x in ids[::50]:
+                net.update_h_index(x, h)
+            expected.clear()
+            expected.update(
+                (x, inverse_authority(net.authority(x), floor=net.authority_floor))
+                for x in ids
+            )
+            barrier.wait(timeout=10)
+            barrier.wait(timeout=10)
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -17,7 +17,7 @@ from array import array
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.graph.adjacency import Graph
+from repro.graph.adjacency import Graph, GraphError
 from repro.graph.pll import PrunedLandmarkLabeling, default_landmark_order
 from repro.graph.pll_kernel import (
     DIST_TYPECODE,
@@ -266,6 +266,30 @@ def test_all_kernels_answer_identical_distances(kernel):
         )
         for target in nodes:
             assert pll.distance(source, target) == reference.distance(source, target)
+
+
+@pytest.mark.parametrize("kernel", ["flat", "flat-py", "dict"])
+def test_distances_from_source_among_targets_answers_zero_in_target_order(kernel):
+    graph = Graph.from_edges([("a", "b", 0.25), ("b", "c", 1.5)])
+    graph.add_node("lonely")
+    pll = PrunedLandmarkLabeling(graph, kernel=kernel)
+    for _ in range(2):  # cold, then memoized
+        out = pll.distances_from("b", iter(["c", "b", "lonely", "a"]))
+        assert list(out.items()) == [
+            ("c", 1.5), ("b", 0.0), ("lonely", _INF), ("a", 0.25)
+        ]
+    assert pll.distances_from("lonely", ["lonely"]) == {"lonely": 0.0}
+
+
+@pytest.mark.parametrize("kernel", ["flat", "flat-py", "dict"])
+def test_distances_from_unknown_target_raises_graph_error(kernel):
+    graph = Graph.from_edges([("a", "b", 1.0)])
+    pll = PrunedLandmarkLabeling(graph, kernel=kernel)
+    for _ in range(2):  # cold, then memoized
+        with pytest.raises(GraphError, match="node 'ghost' not in index"):
+            pll.distances_from("a", ["b", "ghost"])
+    with pytest.raises(GraphError, match="node 'ghost' not in index"):
+        pll.distances_from("ghost", ["a"])
 
 
 def test_centrality_ordered_index_is_exact():

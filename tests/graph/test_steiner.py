@@ -1,11 +1,16 @@
 """Unit + randomized tests for MST, Steiner approximation and Dreyfus-Wagner."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import repro
 from repro.graph import (
     Graph,
     GraphError,
@@ -199,3 +204,38 @@ def test_approximation_never_beats_exact():
     assert exact_cost <= approx.total_weight() + 1e-9
     # And the classic guarantee: within 2x of optimal.
     assert approx.total_weight() <= 2.0 * exact_cost + 1e-9
+
+
+_DW_ORDER_SCRIPT = """
+import json, random
+from repro.graph import Graph, dreyfus_wagner
+rng = random.Random(5)
+g = Graph()
+names = [f"n{i:02d}" for i in range(30)]
+for i in range(1, 30):
+    g.add_edge(names[i], names[rng.randrange(i)], weight=rng.choice([0.5, 1.0, 1.5]))
+for _ in range(40):
+    u, v = rng.sample(names, 2)
+    g.add_edge(u, v, weight=rng.choice([0.5, 1.0, 1.5]))
+_, tree = dreyfus_wagner(g, ["n29", "n03", "n17", "n11", "n22"])
+print(json.dumps([list(tree.nodes()), [list(e) for e in tree.edges()]]))
+"""
+
+
+def test_dw_tree_order_is_hash_seed_independent():
+    """The tree's node and edge *order* (not just its sets) is the same in
+    every process: a team's costs are summed in that order, so a set-order
+    tree would make scores differ in the last bit between processes."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _DW_ORDER_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            check=True,
+        ).stdout
+        for seed in ("0", "1", "2")
+    }
+    assert len(outputs) == 1

@@ -9,6 +9,9 @@ groups build their index at most once pool-wide.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import process as futures_process
+
 import pytest
 
 from repro.api import TeamFormationEngine, TeamRequest
@@ -275,6 +278,27 @@ def test_pool_degrades_to_local_replica(snapshot_store):
         pool.close()
     with pytest.raises(RuntimeError):
         pool.solve_many([GREEDY])
+
+
+def _manager_threads() -> list[threading.Thread]:
+    return [
+        t
+        for t in threading.enumerate()
+        if isinstance(t, futures_process._ExecutorManagerThread) and t.is_alive()
+    ]
+
+
+def test_pool_close_joins_executor_manager_threads(snapshot_store):
+    """``close()`` leaves no executor manager thread running into
+    interpreter exit, where its teardown races ``concurrent.futures``'
+    exit hook (``OSError: [Errno 9] Bad file descriptor``)."""
+    before = set(_manager_threads())
+    pool = EngineReplicaPool(snapshot_store, replicas=2)
+    pool.solve_many([GREEDY, GREEDY])
+    assert set(_manager_threads()) - before, "the pool runs manager threads"
+    pool.close()
+    assert set(_manager_threads()) - before == set()
+    pool.close()  # idempotent
 
 
 def test_pool_empty_batch_and_validation(snapshot_store, tmp_path):
