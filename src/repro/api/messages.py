@@ -9,11 +9,11 @@ losslessly through plain dicts and JSON (``to_json`` / ``from_json``), so
 requests can arrive over a wire and responses can be logged, cached or
 shipped back without touching pickle.
 
-The payload types deliberately mirror — but do not reference — the live
-domain objects: a :class:`TeamPayload` can be rebuilt into a
-:class:`repro.core.team.Team` (``to_team``), and a
-:class:`MemberContributionPayload` is a serializable view of
-:class:`repro.core.explain.MemberContribution`.
+The team payload deliberately mirrors — but does not reference — the
+live domain object: a :class:`TeamPayload` can be rebuilt into a
+:class:`repro.core.team.Team` (``to_team``).  A member contribution
+needs no twin: :class:`repro.core.explain.MemberContribution` is already
+plain data and serves as :data:`MemberContributionPayload`.
 """
 
 from __future__ import annotations
@@ -217,69 +217,10 @@ class TeamPayload:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class MemberContributionPayload:
-    """Serializable view of :class:`repro.core.explain.MemberContribution`."""
-
-    expert_id: str
-    role: str
-    covered_skills: tuple[str, ...]
-    authority: float
-    sa_share: float
-    ca_share: float
-    cc_share: float
-    critical: bool
-
-    @property
-    def total(self) -> float:
-        return self.sa_share + self.ca_share + self.cc_share
-
-    @classmethod
-    def from_contribution(
-        cls, contribution: MemberContribution
-    ) -> "MemberContributionPayload":
-        """Serialize a live :class:`MemberContribution`.
-
-        Shares are coerced to ``float`` for byte-stability under a JSON
-        round-trip (see :meth:`ScoreBreakdown.from_team`).
-        """
-        return cls(
-            expert_id=contribution.expert_id,
-            role=contribution.role,
-            covered_skills=tuple(contribution.covered_skills),
-            authority=float(contribution.authority),
-            sa_share=float(contribution.sa_share),
-            ca_share=float(contribution.ca_share),
-            cc_share=float(contribution.cc_share),
-            critical=contribution.critical,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """This message as a JSON-ready dict (inverse of ``from_dict``)."""
-        return {
-            "expert_id": self.expert_id,
-            "role": self.role,
-            "covered_skills": list(self.covered_skills),
-            "authority": self.authority,
-            "sa_share": self.sa_share,
-            "ca_share": self.ca_share,
-            "cc_share": self.cc_share,
-            "critical": self.critical,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MemberContributionPayload":
-        """Build a payload from its dict form (inverse of ``to_dict``)."""
-        return cls(
-            expert_id=data["expert_id"],
-            role=data["role"],
-            covered_skills=tuple(data["covered_skills"]),
-            authority=data["authority"],
-            sa_share=data["sa_share"],
-            ca_share=data["ca_share"],
-            cc_share=data["cc_share"],
-            critical=data["critical"],
-        )
+#: The wire form of a member contribution is the live one: every field
+#: is JSON-ready and every number a ``float`` (see
+#: :func:`repro.core.explain.member_contributions`).
+MemberContributionPayload = MemberContribution
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,18 +237,24 @@ class ScoreBreakdown:
     def from_team(cls, evaluator: TeamEvaluator, team: Team) -> "ScoreBreakdown":
         """Score ``team`` under all five objectives via ``evaluator``.
 
+        CC, CA and SA are each computed once; the two combinations are
+        formed from them with the evaluator's own blends, so every field
+        equals the matching evaluator method bit for bit.
+
         Scores are coerced to ``float``: an evaluator may legitimately
         return an exact ``int`` 0, but a payload holding one would stop
         being byte-identical to its own JSON round-trip (``0`` vs
         ``0.0``) — and replica-pool responses, which travel as JSON,
         must match in-process responses byte for byte.
         """
+        cc, ca, sa = evaluator.cc(team), evaluator.ca(team), evaluator.sa(team)
+        ca_cc = evaluator.blend_ca_cc(ca, cc)
         return cls(
-            cc=float(evaluator.cc(team)),
-            ca=float(evaluator.ca(team)),
-            sa=float(evaluator.sa(team)),
-            ca_cc=float(evaluator.ca_cc(team)),
-            sa_ca_cc=float(evaluator.sa_ca_cc(team)),
+            cc=float(cc),
+            ca=float(ca),
+            sa=float(sa),
+            ca_cc=float(ca_cc),
+            sa_ca_cc=float(evaluator.blend_sa_ca_cc(sa, ca_cc)),
         )
 
     def to_dict(self) -> dict[str, Any]:

@@ -21,12 +21,11 @@ import time
 from typing import TYPE_CHECKING
 
 from ..core.exact import IntractableError
-from ..core.explain import explain_team
+from ..core.explain import MemberContribution, member_contributions
 from ..core.team import Team
 from ..expertise.skills import SkillCoverageError
 from ..graph.pll import pll_build_count
 from .messages import (
-    MemberContributionPayload,
     ScoreBreakdown,
     TeamPayload,
     TeamRequest,
@@ -104,25 +103,14 @@ class _BaseAdapter:
     ) -> TeamResponse:
         engine = self._engine
         team = teams[0] if teams else None
-        contributions: tuple[MemberContributionPayload, ...] = ()
+        contributions: tuple[MemberContribution, ...] = ()
         scores: ScoreBreakdown | None = None
         if team is not None:
             evaluator = engine.evaluator(
                 gamma=request.gamma, lam=request.lam, sa_mode=request.sa_mode
             )
             scores = ScoreBreakdown.from_team(evaluator, team)
-            explanation = explain_team(
-                team,
-                engine.network,
-                gamma=request.gamma,
-                lam=request.lam,
-                scales=engine.scales,
-                sa_mode=request.sa_mode,
-            )
-            contributions = tuple(
-                MemberContributionPayload.from_contribution(c)
-                for c in explanation.contributions
-            )
+            contributions = member_contributions(team, evaluator)
         timing = TimingInfo(
             solve_seconds=time.perf_counter() - started,
             oracle_builds=pll_build_count() - builds_before,

@@ -15,11 +15,17 @@ measured on:
 In every authority-aware mode, a root that itself holds the skill is
 assigned it at score zero (Section 3.2.2).  ``DIST`` queries go through a
 pluggable distance oracle — the paper's 2-hop cover by default — as one
-``distances_from(root, every holder of the project)`` call per root.
+``distances_from(root, every holder of the project)`` call per root, at most.
 Inverse authorities come from the network's per-version column
-(:meth:`ExpertNetwork.inverse_authorities`); a solve turns them into
-``gamma * a'`` and ``lam * a'`` once per holder, not once per (root,
-holder).
+(:meth:`ExpertNetwork.inverse_authorities`), turned into ``gamma * a'``
+and ``lam * a'`` once per holder, not once per (root, holder).
+
+A root's best score for a skill depends only on (root, skill, gamma,
+lam, network version), never on the project's other skills.  A finder
+therefore keeps one lazily filled *score column* per skill: a float per
+root, NaN until computed and ``inf`` when no holder is reachable.  A
+warm solve over skills seen before reads one cell per (root, skill) and
+queries the oracle not at all until it materializes its winners.
 
 Final teams are *materialized* from a single Dijkstra tree rooted at the
 winning root (all root-to-holder paths then share edges consistently, so
@@ -30,6 +36,7 @@ the team subgraph is a tree) and re-scored with the literal Definitions
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import insort
 from collections.abc import Iterable, Sequence
 
@@ -46,17 +53,19 @@ __all__ = ["GreedyTeamFinder", "OBJECTIVES", "search_graph_for"]
 OBJECTIVES = ("cc", "ca", "ca-cc", "sa-ca-cc")
 
 _INF = float("inf")
+_NAN = float("nan")
 
 #: One skill's sorted holders as ``(holder, gamma * a', lam * a')``.
 _Holders = list[tuple[str, float, float]]
-#: A solve's skills, sorted, each with its :data:`_Holders`.
-_Plan = list[tuple[str, _Holders]]
+#: A solve's skills, sorted, each with its :data:`_Holders` and its
+#: score column (one float per root; NaN until computed).
+_Plan = list[tuple[str, _Holders, array]]
 
 
 def _targets(plan: _Plan) -> list[str]:
     """Every holder of the project's skills, once each: the targets of a
     root's single ``distances_from`` call."""
-    return list(dict.fromkeys(h for _, holders in plan for h, _, _ in holders))
+    return list(dict.fromkeys(h for _, holders, _ in plan for h, _, _ in holders))
 
 
 def search_graph_for(
@@ -156,6 +165,12 @@ class GreedyTeamFinder:
         unknown = [r for r in self._roots if r not in network]
         if unknown:
             raise KeyError(f"root candidates outside the network: {unknown[:5]!r}")
+        # Per skill, its holders and score column, valid for one network
+        # version; replaced whole (one assignment) when the version moves.
+        self._columns: tuple[int, dict[str, tuple[_Holders, array]]] = (
+            network.version,
+            {},
+        )
 
     @property
     def oracle(self) -> DistanceOracle:
@@ -178,8 +193,8 @@ class GreedyTeamFinder:
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    def _plan(self, skills: Sequence[str]) -> _Plan:
-        """Per skill, its sorted holders with their per-solve constants.
+    def _holders(self, skill: str) -> _Holders:
+        """The skill's sorted holders with their per-holder constants.
 
         Every mode scores a holder ``v`` from a root as
         ``(1 - lam) * (DIST - gamma * a'(v)) + lam * a'(v)`` (Section
@@ -188,38 +203,60 @@ class GreedyTeamFinder:
         adding or subtracting 0 are exact, so each mode's score is
         bit-identical to its own formula.  Each holder carries
         ``gamma * a'(v)`` and ``lam * a'(v)``, so the sweep pays for node
-        costs once per solve instead of once per (root, holder).  Sorted
+        costs once per holder instead of once per (root, holder).  Sorted
         holders make ties on score keep the lexicographically smallest.
         """
         gamma = 0.0 if self.objective == "cc" else self.gamma
         lam = self._blend
         node_cost = self.evaluator.node_cost
+        holders: _Holders = []
+        for holder in sorted(self.network.experts_with_skill(skill)):
+            cost = node_cost(holder)
+            holders.append((holder, gamma * cost, lam * cost))
+        return holders
+
+    def _plan(self, skills: Sequence[str]) -> _Plan:
+        """Per skill, its holders and score column at the current version.
+
+        Cell ``i`` of a skill's column is the best score of any holder
+        from root ``self._roots[i]``: NaN until a sweep computes it,
+        ``inf`` when no holder is reachable from that root.  The cells
+        depend only on (root, skill, gamma, lam, version), so they are
+        shared by every project naming the skill.  A version change
+        drops every column at once.  Concurrent solves may fill the same
+        cell; they write the same value.
+        """
+        version = self.network.version
+        seen, columns = self._columns
+        if seen != version:
+            columns = {}
+            self._columns = (version, columns)
         plan: _Plan = []
         for skill in skills:
-            holders: _Holders = []
-            for holder in sorted(self.network.experts_with_skill(skill)):
-                cost = node_cost(holder)
-                holders.append((holder, gamma * cost, lam * cost))
-            plan.append((skill, holders))
+            entry = columns.get(skill)
+            if entry is None:
+                column = array("d", [_NAN]) * len(self._roots)
+                # setdefault: racing first touches share one column.
+                entry = columns.setdefault(skill, (self._holders(skill), column))
+            plan.append((skill, *entry))
         return plan
 
     def _assign(
-        self, root: str, plan: _Plan, targets: list[str], bound: float
-    ) -> tuple[float, dict[str, str]] | None:
+        self, root: str, plan: _Plan, targets: list[str]
+    ) -> dict[str, str] | None:
         """Algorithm 1's inner loop for one root: the best holder per skill.
 
-        Returns ``(greedy cost, {skill: holder})``, or ``None`` when a
-        skill is unreachable from ``root`` or the cost reaches ``bound``.
-        A root holding a skill takes it at score zero (Section 3.2.2);
-        for the rest, one ``distances_from(root, targets)`` call fetches
-        every holder distance the root needs.
+        Returns ``{skill: holder}``, or ``None`` when a skill is
+        unreachable from ``root``.  A root holding a skill takes it at
+        score zero (Section 3.2.2); for the rest, one
+        ``distances_from(root, targets)`` call fetches every holder
+        distance the root needs.
         """
         root_skills = self.network.skills_of(root)
         keep = 1.0 - self._blend
         dists: dict[str, float] | None = None
-        total = 0.0
         assignment: dict[str, str] = {}
-        for skill, holders in plan:
+        for skill, holders, _ in plan:
             if skill in root_skills:
                 assignment[skill] = root
                 continue
@@ -236,10 +273,7 @@ class GreedyTeamFinder:
             if best_expert is None:
                 return None
             assignment[skill] = best_expert
-            total += best_score
-            if total >= bound:
-                return None  # cannot enter the bounded list
-        return total, assignment
+        return assignment
 
     # ------------------------------------------------------------------
     # the root loop (Algorithm 1)
@@ -255,7 +289,10 @@ class GreedyTeamFinder:
         The bounded list ``L`` is kept over root iterations exactly as the
         paper describes; a few extra candidates are retained so that
         deduplication (several roots can induce the same team) still
-        yields ``k`` distinct teams.
+        yields ``k`` distinct teams.  The sweep ranks roots by their
+        score columns alone: a root makes its one ``distances_from``
+        call only when it reaches a cell no earlier solve computed.
+        Holders are assigned only for the roots actually materialized.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -265,23 +302,51 @@ class GreedyTeamFinder:
         self.network.skill_index.require_coverable(skills)
         plan = self._plan(skills)
         targets = _targets(plan)
+        keep = 1.0 - self._blend
+        skills_of = self.network.skills_of
+        distances_from = self._oracle.distances_from
 
         capacity = max(4 * k, k + 8)
-        # Entries: (greedy_cost, tie, root, {skill: expert})
-        best: list[tuple[float, int, str, dict[str, str]]] = []
+        # Entries: (greedy_cost, tie, root); ties are unique, so entries
+        # order by (cost, root order).
+        best: list[tuple[float, int, str]] = []
+        bound = _INF
         for tie, root in enumerate(self._roots):
-            bound = best[-1][0] if len(best) >= capacity else _INF
-            found = self._assign(root, plan, targets, bound)
-            if found is None:
-                continue
-            total, assignment = found
-            insort(best, (total, tie, root, assignment), key=lambda e: (e[0], e[1]))
-            if len(best) > capacity:
-                best.pop()
+            root_skills = skills_of(root)
+            dists = None
+            total = 0.0
+            for skill, holders, column in plan:
+                if skill in root_skills:
+                    continue  # the root takes the skill at score zero
+                score = column[tie]
+                if score != score:  # NaN: not computed yet
+                    if dists is None:
+                        dists = distances_from(root, targets)
+                    # `_assign`'s scoring loop, keeping the score only.
+                    score = _INF
+                    for holder, gamma_cost, lam_cost in holders:
+                        dist = dists[holder]
+                        if dist == _INF:
+                            continue
+                        cell = keep * (dist - gamma_cost) + lam_cost
+                        if cell < score:
+                            score = cell
+                    column[tie] = score
+                total += score
+                if total >= bound:
+                    break  # unreachable (inf), or cannot enter the list
+            else:
+                insort(best, (total, tie, root))
+                if len(best) > capacity:
+                    best.pop()
+                if len(best) >= capacity:
+                    bound = best[-1][0]
 
         teams: list[Team] = []
         seen: set = set()
-        for _, _, root, assignment in best:
+        for _, _, root in best:
+            assignment = self._assign(root, plan, targets)
+            assert assignment is not None, "a ranked root covers the project"
             team = self._materialize(root, assignment)
             if team.key() in seen:
                 continue
@@ -298,10 +363,10 @@ class GreedyTeamFinder:
         Exposed for tests and for the qualitative Figure 6 experiment.
         """
         plan = self._plan(sorted(set(project)))
-        found = self._assign(root, plan, _targets(plan), _INF)
-        if found is None:
+        assignment = self._assign(root, plan, _targets(plan))
+        if assignment is None:
             return None
-        return self._materialize(root, found[1])
+        return self._materialize(root, assignment)
 
     # ------------------------------------------------------------------
     # materialization

@@ -117,11 +117,19 @@ class TeamEvaluator:
 
     def ca_cc(self, team: Team) -> float:
         """Definition 4: ``gamma * CA + (1 - gamma) * CC``."""
-        return self.gamma * self.ca(team) + (1.0 - self.gamma) * self.cc(team)
+        return self.blend_ca_cc(self.ca(team), self.cc(team))
 
     def sa_ca_cc(self, team: Team) -> float:
         """Definition 6: ``lambda * SA + (1 - lambda) * CA-CC``."""
-        return self.lam * self.sa(team) + (1.0 - self.lam) * self.ca_cc(team)
+        return self.blend_sa_ca_cc(self.sa(team), self.ca_cc(team))
+
+    def blend_ca_cc(self, ca: float, cc: float) -> float:
+        """Definition 4 from already computed CA and CC values."""
+        return self.gamma * ca + (1.0 - self.gamma) * cc
+
+    def blend_sa_ca_cc(self, sa: float, ca_cc: float) -> float:
+        """Definition 6 from already computed SA and CA-CC values."""
+        return self.lam * sa + (1.0 - self.lam) * ca_cc
 
     def score(self, team: Team, objective: str) -> float:
         """Dispatch by objective name: cc | ca | sa | ca-cc | sa-ca-cc."""

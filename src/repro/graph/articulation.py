@@ -14,6 +14,7 @@ networks don't hit the recursion limit.
 from __future__ import annotations
 
 from .adjacency import Graph, Node
+from .components import is_tree
 
 __all__ = ["articulation_points", "bridges"]
 
@@ -25,6 +26,10 @@ def articulation_points(graph: Graph) -> set[Node]:
     >>> articulation_points(g)
     {'m'}
     """
+    if is_tree(graph):
+        # Team subgraphs are usually trees, whose cut vertices are
+        # exactly their inner nodes; this skips the low-link pass.
+        return {node for node in graph.nodes() if graph.degree(node) >= 2}
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     parent: dict[Node, Node | None] = {}

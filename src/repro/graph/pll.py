@@ -113,22 +113,23 @@ __all__ = [
     "pll_build_count",
 ]
 
-# Per-kernel counter instruments, resolved once per process instead of
-# three registry lookups per query batch (the query path is hot enough
-# that the lookups alone showed up in profiles).  Module-level on
-# purpose: oracles are cloned for journal replay, and instrument
-# objects hold locks that must not be deep-copied.
-_KERNEL_INSTRUMENTS: dict[str, tuple] = {}
+# Per-kernel counter groups, resolved once per process instead of a
+# registry lookup per query batch (the query path is hot enough that
+# the lookups alone showed up in profiles).  One group per kernel bumps
+# its queries/targets/seconds counters under a single lock.
+# Module-level on purpose: oracles are cloned for journal replay, and
+# instrument objects hold locks that must not be deep-copied.
+_KERNEL_INSTRUMENTS: dict[str, obs.CounterGroup] = {}
 
 
-def _kernel_instruments(effective: str) -> tuple:
+def _kernel_instruments(effective: str) -> obs.CounterGroup:
     instruments = _KERNEL_INSTRUMENTS.get(effective)
     if instruments is None:
         registry = obs.global_registry()
-        instruments = _KERNEL_INSTRUMENTS[effective] = (
-            registry.counter(f"kernel_queries_{effective}"),
-            registry.counter(f"kernel_targets_{effective}"),
-            registry.counter(f"kernel_seconds_{effective}"),
+        instruments = _KERNEL_INSTRUMENTS[effective] = registry.counter_group(
+            f"kernel_queries_{effective}",
+            f"kernel_targets_{effective}",
+            f"kernel_seconds_{effective}",
         )
     return instruments
 
@@ -863,10 +864,7 @@ class PrunedLandmarkLabeling:
                 effective = "flat-py"
                 out = self._distances_from_flat(flat, source, targets)
         elapsed = time.perf_counter() - start
-        queries, targets_c, seconds = _kernel_instruments(effective)
-        queries.inc()
-        targets_c.inc(len(out))
-        seconds.inc(elapsed)
+        _kernel_instruments(effective).inc(1, len(out), elapsed)
         if cold:
             if self._obs_shard is None:
                 obs.record("pll.query", elapsed, kernel=effective, targets=len(out))

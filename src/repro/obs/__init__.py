@@ -25,7 +25,13 @@ Three pieces, all stdlib-only:
 
 from __future__ import annotations
 
-from ..serving.metrics import Counter, Gauge, LatencyReservoir, MetricsRegistry
+from ..serving.metrics import (
+    Counter,
+    CounterGroup,
+    Gauge,
+    LatencyReservoir,
+    MetricsRegistry,
+)
 from .prom import render_prometheus
 from .trace import (
     Span,
@@ -39,6 +45,7 @@ from .trace import (
 
 __all__ = [
     "Counter",
+    "CounterGroup",
     "Gauge",
     "LatencyReservoir",
     "MetricsRegistry",

@@ -16,7 +16,9 @@ from repro.api import (
     TeamResponse,
     TimingInfo,
 )
-from repro.core import Team
+from repro.core import ObjectiveScales, Team, TeamEvaluator
+from repro.core.explain import explain_team, member_contributions
+from repro.expertise import Expert, ExpertNetwork
 from repro.graph import Graph
 
 _ids = st.text(
@@ -204,3 +206,75 @@ def test_canonical_json_ignores_network_version():
     stamped = replace(plain, network_version=7)
     assert plain.canonical_json() == stamped.canonical_json()
     assert "network_version" not in plain.canonical_json()
+
+
+@st.composite
+def scored_teams(draw):
+    """A tree team over a matching network, with an evaluator for it."""
+    n = draw(st.integers(1, 7))
+    ids = [f"e{i}" for i in range(n)]
+    weights = st.floats(min_value=0.01, max_value=10.0)
+    edges = [
+        (ids[draw(st.integers(0, i - 1))], ids[i], draw(weights))
+        for i in range(1, n)
+    ]
+    skills = [f"s{j}" for j in range(draw(st.integers(1, 4)))]
+    assignments = {skill: draw(st.sampled_from(ids)) for skill in skills}
+    experts = [
+        Expert(
+            e,
+            skills={s for s, holder in assignments.items() if holder == e},
+            h_index=draw(st.integers(0, 40)),
+        )
+        for e in ids
+    ]
+    network = ExpertNetwork(experts, edges)
+    tree = Graph.from_edges(edges)
+    tree.add_node(ids[0])
+    team = Team(tree=tree, assignments=assignments)
+    tradeoff = st.sampled_from((0.0, 0.6, 1.0)) | _unit
+    evaluator = TeamEvaluator(
+        network,
+        gamma=draw(tradeoff),
+        lam=draw(tradeoff),
+        sa_mode=draw(st.sampled_from(("per_skill", "distinct"))),
+        scales=draw(
+            st.none()
+            | st.builds(ObjectiveScales, edge_scale=weights, authority_scale=weights)
+        ),
+    )
+    return team, evaluator
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_teams())
+def test_score_breakdown_is_bit_equal_to_the_evaluator(case):
+    team, evaluator = case
+    scores = ScoreBreakdown.from_team(evaluator, team)
+    expected = {
+        "cc": evaluator.cc(team),
+        "ca": evaluator.ca(team),
+        "sa": evaluator.sa(team),
+        "ca_cc": evaluator.ca_cc(team),
+        "sa_ca_cc": evaluator.sa_ca_cc(team),
+    }
+    got = scores.to_dict()
+    assert {k: float(v).hex() for k, v in got.items()} == {
+        k: float(v).hex() for k, v in expected.items()
+    }
+    assert all(type(v) is float for v in got.values())
+    # The adapter's contributions are explain_team's, and survive JSON.
+    contributions = member_contributions(team, evaluator)
+    explained = explain_team(
+        team,
+        evaluator.network,
+        gamma=evaluator.gamma,
+        lam=evaluator.lam,
+        scales=evaluator.scales,
+        sa_mode=evaluator.sa_mode,
+    )
+    assert contributions == explained.contributions
+    for c in contributions:
+        wire = json.dumps(c.to_dict())
+        back = MemberContributionPayload.from_dict(json.loads(wire))
+        assert back == c and json.dumps(back.to_dict()) == wire

@@ -2,14 +2,17 @@
 
 The production sweep (:class:`repro.core.greedy.GreedyTeamFinder`) reads
 inverse authorities from the network's per-version column, precomputes
-``gamma * a'`` and ``lam * a'`` once per solve and issues one
+``gamma * a'`` and ``lam * a'`` once per holder, caches each root's best
+score per skill in lazily filled columns and issues at most one
 ``distances_from`` call per root.  The reference below does none of
 that: per root, per skill, per holder it asks the oracle for one point
 distance and the evaluator for the node cost, and scores with the
 formulas of Section 3.2 as written.  Both must pick the same roots and
 holders, grow the same trees and serialize to the same canonical
 ``TeamResponse`` JSON, for every objective, gamma and lambda, and every
-oracle: PLL with each kernel, Dijkstra, and a two-shard PLL.
+oracle: PLL with each kernel, Dijkstra, and a two-shard PLL.  The
+finder's score columns must not change an answer: each is solved cold,
+warm, and after another project sharing a skill.
 
 Networks are drawn with dyadic edge weights and a handful of h-index
 values, so distinct roots and holders often tie exactly; some are
@@ -142,6 +145,19 @@ def _finder(engine, kernel, objective, gamma, lam, kind):
     )
 
 
+def _assert_same(fast, slow, respond, request):
+    """Same roots, holders, trees and canonical response JSON."""
+    assert [t.root for t in fast] == [t.root for t in slow]
+    assert [t.assignments for t in fast] == [t.assignments for t in slow]
+    assert [list(t.tree.edges()) for t in fast] == [
+        list(t.tree.edges()) for t in slow
+    ]
+    want = respond(request, slow, started=0.0, builds_before=0)
+    got = respond(request, fast, started=0.0, builds_before=0)
+    assert got.canonical_json() == want.canonical_json()
+    return want
+
+
 @pytest.mark.parametrize("label,shards,kernel", ORACLES, ids=[o[0] for o in ORACLES])
 @settings(
     max_examples=15,
@@ -151,36 +167,50 @@ def _finder(engine, kernel, objective, gamma, lam, kind):
 @given(
     network=networks(),
     project=st.sets(st.sampled_from(SKILLS), min_size=1, max_size=3),
+    extra=st.sets(st.sampled_from(SKILLS), max_size=2),
     k=st.sampled_from([1, 3]),
 )
-def test_greedy_matches_scalar_algorithm_1(label, shards, kernel, network, project, k):
+def test_greedy_matches_scalar_algorithm_1(
+    label, shards, kernel, network, project, extra, k
+):
+    """Each finder answers cold (empty score columns), warm (the same
+    project again) and after a second project sharing a skill has
+    filled more cells; every answer matches the scalar reference."""
     engine = TeamFormationEngine(network, shards=shards)
     kind = "dijkstra" if label == "dijkstra" else "pll"
     respond = engine._adapter("greedy")._respond
+    other = {min(project)} | extra
     for objective in OBJECTIVES:
         for gamma in TRADEOFFS:
             for lam in TRADEOFFS:
-                request = TeamRequest(
-                    skills=tuple(sorted(project)),
-                    objective=objective,
-                    gamma=gamma,
-                    lam=lam,
-                    oracle_kind=kind,
-                    k=k,
-                )
-                finder = _finder(engine, kernel, objective, gamma, lam, kind)
-                fast = finder.find_top_k(project, k=k)
-                slow = reference_scalar_top_k(finder, project, k)
-                assert [t.root for t in fast] == [t.root for t in slow]
-                assert [t.assignments for t in fast] == [t.assignments for t in slow]
-                assert [list(t.tree.edges()) for t in fast] == [
-                    list(t.tree.edges()) for t in slow
+                requests = [
+                    TeamRequest(
+                        skills=tuple(sorted(skills)),
+                        objective=objective,
+                        gamma=gamma,
+                        lam=lam,
+                        oracle_kind=kind,
+                        k=k,
+                    )
+                    for skills in (project, other)
                 ]
-                want = respond(request, slow, started=0.0, builds_before=0)
-                got = respond(request, fast, started=0.0, builds_before=0)
-                assert got.canonical_json() == want.canonical_json()
+                finder = _finder(engine, kernel, objective, gamma, lam, kind)
+                slow = reference_scalar_top_k(finder, project, k)
+                cold = finder.find_top_k(project, k=k)
+                warm = finder.find_top_k(project, k=k)
+                shared = finder.find_top_k(other, k=k)
+                again = finder.find_top_k(project, k=k)
+                want = _assert_same(cold, slow, respond, requests[0])
+                _assert_same(warm, slow, respond, requests[0])
+                _assert_same(again, slow, respond, requests[0])
+                _assert_same(
+                    shared,
+                    reference_scalar_top_k(finder, other, k),
+                    respond,
+                    requests[1],
+                )
                 if kernel is None:
-                    served = engine.solve(request)
+                    served = engine.solve(requests[0])
                     assert served.canonical_json() == want.canonical_json()
 
 

@@ -1,10 +1,12 @@
-"""The greedy sweep's work counts, its node-cost column, and its
-independence from the string-hash seed.
+"""The greedy sweep's work counts, its node-cost and score columns, and
+its independence from the string-hash seed.
 
-Deterministic counts, not timings: a warm solve rebuilds no
-inverse-authority column and issues at most one ``distances_from`` call
-per root; a network mutation makes the next solve rebuild the column
-and answer exactly as a fresh engine at that version would.  Answers must also be
+Deterministic counts, not timings: a solve rebuilds no inverse-authority
+column; a cold finder's sweep issues at most one ``distances_from`` call
+per root lacking a skill, a warm one re-asked skills it has seen issues
+none, and each adds at most one per materialized root.  A network
+mutation makes the next solve rebuild both columns and answer exactly as
+a fresh finder or engine at that version would.  Answers must also be
 byte-identical across interpreter processes with different
 ``PYTHONHASHSEED`` values, which is what lets a replica pool, a
 reference checker and a restarted server agree.
@@ -12,34 +14,25 @@ reference checker and a restarted server agree.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.api.engine import TeamFormationEngine
-from repro.api.messages import TeamRequest
-from repro.core.objectives import TeamEvaluator
+from repro.api.messages import TeamPayload, TeamRequest
+from repro.core.greedy import GreedyTeamFinder, search_graph_for
+from repro.core.objectives import ObjectiveScales, TeamEvaluator
 from repro.dblp import build_expert_network
 from repro.eval.workload import benchmark_corpus, sample_projects
 from repro.expertise.authority import inverse_authority
 from repro.graph.pll import PrunedLandmarkLabeling
-
-
-def _count_calls(monkeypatch, owner, name: str) -> list:
-    """Patch ``owner.name`` to record each call; returns the record."""
-    calls: list = []
-    original = getattr(owner, name)
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
+from repro.obs import global_registry
 
 
 def _small_network():
@@ -47,23 +40,106 @@ def _small_network():
     return build_expert_network(benchmark_corpus("small", seed=0))
 
 
+def _record_sweep(monkeypatch) -> list:
+    """Record ``("query", source)`` per ``distances_from`` call and
+    ``("assign", root)`` per root the finder assigns holders to (the
+    roots it materializes), in call order."""
+    events: list = []
+    query = PrunedLandmarkLabeling.distances_from
+    assign = GreedyTeamFinder._assign
+
+    def counted_query(self, source, targets):
+        events.append(("query", source))
+        return query(self, source, targets)
+
+    def counted_assign(self, root, plan, targets):
+        events.append(("assign", root))
+        return assign(self, root, plan, targets)
+
+    monkeypatch.setattr(PrunedLandmarkLabeling, "distances_from", counted_query)
+    monkeypatch.setattr(GreedyTeamFinder, "_assign", counted_assign)
+    return events
+
+
+def _split(events: list) -> tuple[list[str], int, int]:
+    """(sweep query sources, materialized roots, materialize queries)."""
+    first = next(i for i, (what, _) in enumerate(events) if what == "assign")
+    sweep = [source for what, source in events[:first] if what == "query"]
+    tail = [what for what, _ in events[first:]]
+    return sweep, tail.count("assign"), tail.count("query")
+
+
 def test_warm_sweep_rebuilds_no_column_and_queries_once_per_root(monkeypatch):
     network = _small_network()
     engine = TeamFormationEngine(network)
     first, second = sample_projects(network, 4, 2, seed=3)
     engine.solve(TeamRequest(skills=tuple(first), k=3))  # warm index + column
-    finder = engine.greedy_finder()
+    served = engine.greedy_finder()
     column = network.inverse_authorities()
-    queries = _count_calls(monkeypatch, PrunedLandmarkLabeling, "distances_from")
+    # A cold finder: the engine's warm index, but no score column yet.
+    finder = GreedyTeamFinder(
+        network,
+        scales=engine.scales,
+        oracle=served.oracle,
+        search_graph=served.search_graph,
+    )
+    events = _record_sweep(monkeypatch)
 
-    teams = finder.find_top_k(second, k=3)
+    cold = finder.find_top_k(second, k=3)
 
-    assert teams
+    assert cold
     assert network.inverse_authorities() is column, "a warm solve rebuilt it"
     roots = list(network.expert_ids())
     lacking = [r for r in roots if not set(second) <= network.skills_of(r)]
-    assert len(queries) == len(lacking) <= len(roots)
-    assert [source for source, _ in queries] == lacking
+    sweep, materialized, tail = _split(events)
+    # At most one query per lacking root, in root order, never repeated.
+    assert len(sweep) == len(set(sweep)) <= len(lacking) <= len(roots)
+    assert sweep == [r for r in lacking if r in set(sweep)]
+    assert 1 <= materialized and tail <= materialized
+
+    # Re-asked the same skills, the finder reads its columns: no sweep
+    # query at all, only the materialized roots'.
+    events.clear()
+    warm = finder.find_top_k(second, k=3)
+    sweep, materialized, tail = _split(events)
+    assert sweep == []
+    assert 1 <= materialized and tail <= materialized
+    assert [t.key() for t in warm] == [t.key() for t in cold]
+    assert [t.assignments for t in warm] == [t.assignments for t in cold]
+
+
+def _answer(teams) -> list[str]:
+    return [json.dumps(TeamPayload.from_team(t).to_dict()) for t in teams]
+
+
+def test_mutated_network_drops_a_direct_finders_columns():
+    network = _small_network()
+    finder = GreedyTeamFinder(network)
+    project = sample_projects(network, 4, 1, seed=5)[0]
+    before = finder.find_top_k(project, k=3)
+    # Take a skill away from a winning holder (not the root) that shares
+    # it with someone else: the graph, and so the finder's index, stay
+    # valid, but the cached holders and best scores for it do not.
+    team = before[0]
+    skill, holder = next(
+        (s, h)
+        for s, h in sorted(team.assignments.items())
+        if h != team.root and len(network.experts_with_skill(s)) > 1
+    )
+    network.update_skills(holder, network.skills_of(holder) - {skill})
+
+    after = finder.find_top_k(project, k=3)
+
+    assert finder._columns[0] == network.version
+    fresh = GreedyTeamFinder(
+        network,
+        scales=finder.evaluator.scales,
+        oracle=finder.oracle,
+        search_graph=finder.search_graph,
+    )
+    assert _answer(after) == _answer(fresh.find_top_k(project, k=3))
+    assert _answer(after) != _answer(before)
+    assert all(t.assignments.get(skill) != holder for t in after)
 
 
 def test_mutation_rebuilds_column_and_matches_a_fresh_engine():
@@ -89,6 +165,80 @@ def test_mutation_rebuilds_column_and_matches_a_fresh_engine():
     assert after.canonical_json() != before.canonical_json()
 
 
+def test_threads_sharing_a_finder_answer_as_sequential_solves():
+    network = _small_network()
+    sequential = GreedyTeamFinder(network)
+    # Few skills per project, many projects: their skills overlap.
+    projects = sample_projects(network, 3, 16, seed=11)
+    expected = [_answer(sequential.find_top_k(p, k=2)) for p in projects]
+    shared = GreedyTeamFinder(
+        network,
+        scales=sequential.evaluator.scales,
+        oracle=sequential.oracle,
+        search_graph=sequential.search_graph,
+    )
+    start = threading.Barrier(2)
+    answers: dict[int, list] = {}
+
+    def solve(worker: int) -> None:
+        order = list(range(len(projects)))
+        if worker:
+            order.reverse()
+        start.wait()
+        got = {i: _answer(shared.find_top_k(projects[i], k=2)) for i in order}
+        answers[worker] = [got[i] for i in range(len(projects))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(w,)) for w in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers[0] == expected and answers[1] == expected
+    # Cells both finders computed hold the same bits.
+    mine, theirs = shared._columns[1], sequential._columns[1]
+    assert set(mine) == set(theirs)
+    for skill, (_, column) in mine.items():
+        for a, b in zip(column, theirs[skill][1]):
+            assert a != a or b != b or a.hex() == b.hex()
+
+
+@pytest.mark.parametrize("kernel", ["flat-py", "dict"])
+def test_kernel_counters_count_every_query_and_target(monkeypatch, kernel):
+    network = _small_network()
+    scales = ObjectiveScales.from_network(network)
+    graph = search_graph_for(network, "sa-ca-cc", 0.6, scales)
+    finder = GreedyTeamFinder(
+        network,
+        scales=scales,
+        search_graph=graph,
+        oracle=PrunedLandmarkLabeling(graph, kernel=kernel),
+    )
+    answered: list[int] = []
+    query = PrunedLandmarkLabeling.distances_from
+
+    def counted(self, source, targets):
+        out = query(self, source, targets)
+        answered.append(len(out))
+        return out
+
+    monkeypatch.setattr(PrunedLandmarkLabeling, "distances_from", counted)
+    names = [f"kernel_{what}_{kernel}" for what in ("queries", "targets", "seconds")]
+    before = global_registry().snapshot()["counters"]
+    for project in sample_projects(network, 4, 2, seed=9):
+        finder.find_top_k(project, k=3)
+    after = global_registry().snapshot()["counters"]
+    queries, targets, seconds = (after[n] - before.get(n, 0) for n in names)
+    assert answered and queries == len(answered)
+    assert targets == sum(answered)
+    assert seconds > 0
+
+
 def test_node_cost_follows_the_network_version():
     network = _small_network()
     evaluator = TeamEvaluator(network)
@@ -110,7 +260,8 @@ def test_node_cost_follows_the_network_version():
 
 _SOLVE_SCRIPT = """
 from repro.api.engine import TeamFormationEngine
-from repro.api.messages import TeamRequest
+from repro.api.messages import TeamPayload, TeamRequest
+from repro.core.greedy import GreedyTeamFinder
 from repro.eval.workload import benchmark_network, sample_projects
 
 network = benchmark_network("small")

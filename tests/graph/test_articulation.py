@@ -72,6 +72,24 @@ def test_matches_networkx(seed):
     assert bridges(g) == expected_bridges
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_trees_and_near_trees_match_networkx(seed):
+    """Trees take the inner-node shortcut; one extra edge, or an extra
+    isolated node, sends the same graph through the low-link pass."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    tree = Graph.from_edges((rng.randrange(i), i) for i in range(1, n))
+    u, v = rng.sample(range(n), 2)
+    cyclic = Graph.from_edges([*((a, b) for a, b, _ in tree.edges()), (u, v)])
+    forest = Graph.from_edges((a, b) for a, b, _ in tree.edges())
+    forest.add_node(n)
+    for g in (tree, cyclic, forest):
+        ng = nx.Graph()
+        ng.add_nodes_from(g.nodes())
+        ng.add_edges_from((a, b) for a, b, _ in g.edges())
+        assert articulation_points(g) == set(nx.articulation_points(ng))
+
+
 def test_deep_path_no_recursion_error():
     g = Graph.from_edges([(i, i + 1) for i in range(5000)])
     points = articulation_points(g)

@@ -8,6 +8,7 @@ the numbers the latency gate and the stats op are built on.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 # shadowing hazard); the definitions still live in serving.metrics.
 from repro.obs import (
     Counter,
+    CounterGroup,
     Gauge,
     LatencyReservoir,
     MetricsRegistry,
@@ -56,6 +58,61 @@ def test_counter_is_thread_safe():
     for t in threads:
         t.join()
     assert counter.value == 8000
+
+
+def test_counter_group_bumps_its_members_together():
+    registry = MetricsRegistry()
+    group = registry.counter_group("q", "t", "s")
+    assert isinstance(group, CounterGroup) and len(group) == 3
+    group.inc(1, 7, 0.25)
+    group.inc(1, 3, 0.5)
+    q, t, s = (registry.counter(name) for name in ("q", "t", "s"))
+    assert isinstance(q, Counter)
+    assert (q.value, t.value, s.value) == (2, 10, 0.75)
+    # Same names again: the same group, so counts accumulate.
+    assert registry.counter_group("q", "t", "s") is group
+    t.inc(5)
+    assert registry.snapshot()["counters"] == {"q": 2, "s": 0.75, "t": 15}
+    with pytest.raises(ValueError):
+        group.inc(1, 2)
+    with pytest.raises(ValueError):
+        t.inc(-1)
+    assert (q.value, t.value) == (2, 15)
+
+
+def test_counter_group_refuses_to_regroup_counters():
+    registry = MetricsRegistry()
+    registry.counter("solo").inc()
+    with pytest.raises(ValueError):
+        registry.counter_group("solo", "fresh")
+    registry.counter_group("a", "b")
+    for names in (("a", "b", "c"), ("b", "a"), ("a",), ()):
+        with pytest.raises(ValueError):
+            registry.counter_group(*names)
+
+
+def test_counter_group_is_thread_safe():
+    registry = MetricsRegistry()
+    group = registry.counter_group("events", "items")
+    single = registry.counter("events")
+
+    def bump():
+        for _ in range(1000):
+            group.inc(1, 2)
+            single.inc()
+
+    threads = [threading.Thread(target=bump) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert registry.snapshot()["counters"] == {"events": 16000, "items": 16000}
 
 
 # ----------------------------------------------------------------------
