@@ -6,18 +6,18 @@ Measures, per network scale:
   (``--workers``), with an entry-for-entry label-identity check between
   the two builds (the batch schedule is worker-independent, so any
   difference is a bug, not noise);
-* batched query throughput per kernel — ``dict`` (the legacy per-node
-  dict-probing baseline), ``flat-py`` (flat-array store, stdlib dense
-  scatter) and ``flat`` (flat-array store, numpy vectorized when
+* batched query throughput per kernel — ``flat-py`` (flat-array store,
+  stdlib dense scatter: the baseline, and the only kernel without
+  numpy) and ``flat`` (the same store, numpy vectorized when
   available) — with an exact-equality check of every probed distance
   across kernels, plus point ``distance()`` throughput for reference;
 * a cold greedy top-k sweep (empty score columns) and a warm one (the
   same project again) per kernel, asserting identical teams (roots,
   assignments and trees) cold vs warm and across the kernels.
 
-The PR-6 acceptance gate is a >= ``--min-query-speedup`` batched
-throughput win of the ``flat`` kernel over the ``dict`` baseline at the
-last (largest) scale given >= 4 usable cores; on smaller hosts the
+The acceptance gate is a >= ``--min-query-speedup`` batched throughput
+win of the ``flat`` kernel over the ``flat-py`` baseline at the last
+(largest) scale given >= 4 usable cores; on smaller hosts the
 throughput gate auto-relaxes to the identity-only check (the PR-5
 convention), which always runs and must pass.  Run it directly (it is
 intentionally not a pytest module — the CI smoke job uses
@@ -44,7 +44,7 @@ from repro.graph.pll_kernel import numpy_available
 QUERY_ROUNDS = 20_000
 
 #: Benchmark order: baseline first so the speedup column reads naturally.
-KERNELS = ("dict", "flat-py", "flat")
+KERNELS = ("flat-py", "flat")
 
 
 def _positive_int(value: str) -> int:
@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.0,
         help="fail (exit 1) when the flat kernel's batched throughput win "
-        "over the dict baseline at the last scale falls below this — "
+        "over the flat-py baseline at the last scale falls below this — "
         "auto-relaxed to the identity-only check under 4 usable cores",
     )
     parser.add_argument(
@@ -227,12 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         point_qps, batch_qps = bench_query_kernels(
             graph, QUERY_ROUNDS, args.order
         )
-        kernel_speedup = batch_qps["flat"] / batch_qps["dict"]
+        kernel_speedup = batch_qps["flat"] / batch_qps["flat-py"]
         print(f"  point queries     : {point_qps:,.0f} q/s (flat kernel)")
         for kernel in KERNELS:
             note = (
-                f" (x{batch_qps[kernel] / batch_qps['dict']:.2f} vs dict)"
-                if kernel != "dict"
+                f" (x{batch_qps[kernel] / batch_qps['flat-py']:.2f} vs flat-py)"
+                if kernel != "flat-py"
                 else " (baseline)"
             )
             print(f"  batched {kernel:<8}  : {batch_qps[kernel]:,.0f} q/s{note}")
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             "build_seconds": {str(w): s for w, s in times.items()},
             "point_qps": point_qps,
             "batch_qps": dict(batch_qps),
-            "flat_vs_dict_speedup": kernel_speedup,
+            "flat_vs_flat_py_speedup": kernel_speedup,
             "greedy_cold_seconds": greedy_s["cold"],
             "greedy_warm_seconds": greedy_s["warm"],
         }
@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif kernel_speedup < args.min_query_speedup:
             print(
-                f"\nFAIL: flat kernel {kernel_speedup:.2f}x over dict at "
+                f"\nFAIL: flat kernel {kernel_speedup:.2f}x over flat-py at "
                 f"scale={gate_scale}, below required "
                 f"{args.min_query_speedup:.2f}x"
             )
@@ -273,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(
                 f"\ngate: flat kernel {kernel_speedup:.2f}x >= "
-                f"{args.min_query_speedup:.1f}x over dict at "
+                f"{args.min_query_speedup:.1f}x over flat-py at "
                 f"scale={gate_scale}"
             )
 

@@ -1022,14 +1022,11 @@ class TeamFormationEngine:
                 cache[(*entry.base, entry.version)] = (graph, oracle)
                 continue
             try:
-                if "counts" in entry.labels:
-                    # Flat snapshot columns are adopted as the live
-                    # query representation — no per-entry inflation.
-                    oracle = PrunedLandmarkLabeling.from_flat_labels(
-                        graph, entry.labels
-                    )
-                else:  # legacy per-node-list state
-                    oracle = PrunedLandmarkLabeling.from_labels(graph, entry.labels)
+                # Flat snapshot columns are adopted as the live query
+                # representation — no per-entry inflation.
+                oracle = PrunedLandmarkLabeling.from_flat_labels(
+                    graph, entry.labels
+                )
             except GraphError as exc:
                 raise CorruptSnapshotError(
                     f"oracle entry {entry.base!r}: {exc}"

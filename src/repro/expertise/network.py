@@ -224,8 +224,11 @@ class ExpertNetwork:
                 f"inconsistent history: version={version}, "
                 f"floor={journal_floor}"
             )
-        expected = tuple(range(journal_floor + 1, version + 1))
-        if tuple(m.version for m in records) != expected:
+        # Checked arithmetically: a tampered version must not size an
+        # allocation (a claimed version of 2**40 would).
+        if len(records) != version - journal_floor or any(
+            m.version != journal_floor + 1 + i for i, m in enumerate(records)
+        ):
             raise ValueError(
                 "journal records do not form the contiguous tail "
                 f"({journal_floor}, {version}]"

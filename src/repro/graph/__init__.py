@@ -7,7 +7,6 @@ algorithms in :mod:`repro.core` are built on.
 
 from .adjacency import Graph, GraphError, Node
 from .articulation import articulation_points, bridges
-from .bidirectional import bidirectional_dijkstra
 from .centrality import betweenness_centrality
 from .components import (
     bfs_order,
@@ -56,7 +55,6 @@ from .steiner import (
     mst_steiner_tree,
 )
 from .unionfind import UnionFind
-from .yen import k_shortest_paths
 
 __all__ = [
     "Graph",
@@ -65,7 +63,6 @@ __all__ = [
     "betweenness_centrality",
     "articulation_points",
     "bridges",
-    "bidirectional_dijkstra",
     "bfs_order",
     "connected_components",
     "is_connected",
@@ -102,5 +99,4 @@ __all__ = [
     "dreyfus_wagner",
     "MAX_DW_TERMINALS",
     "UnionFind",
-    "k_shortest_paths",
 ]

@@ -62,8 +62,8 @@ class Graph:
         """
         if u == v:
             raise GraphError(f"self-loop on {u!r} is not allowed")
-        if weight < 0:
-            raise GraphError(f"negative edge weight {weight!r} on ({u!r}, {v!r})")
+        if not weight >= 0:  # also rejects NaN
+            raise GraphError(f"invalid edge weight {weight!r} on ({u!r}, {v!r})")
         self.add_node(u)
         self.add_node(v)
         if v not in self._adj[u]:

@@ -133,6 +133,7 @@ def _kernel_instruments(effective: str) -> obs.CounterGroup:
         )
     return instruments
 
+
 #: Monotone count of completed PLL index constructions in this process.
 #: Oracle-reuse tests snapshot it before a sweep and assert how many
 #: builds the sweep actually paid for (see :func:`pll_build_count`).
@@ -159,6 +160,7 @@ def all_pairs_distances(oracle, sources, targets):
             out[(source, target)] = d
     return out
 
+
 _INF = float("inf")
 
 #: Upper bound on the doubling batch schedule.  Larger batches expose
@@ -170,10 +172,10 @@ MAX_BATCH = 64
 #: would dwarf the search work (the labels are identical either way).
 _MIN_PARALLEL_NODES = 32
 
-#: Recognized query kernels: "flat" (flat store, numpy when available),
-#: "flat-py" (flat store, stdlib dense scatter), "dict" (legacy per-node
-#: dict probing — the benchmark baseline).  All bit-identical.
-_KERNELS = ("flat", "flat-py", "dict")
+#: Recognized query kernels, both over the frozen flat store: "flat"
+#: (numpy when available) and "flat-py" (stdlib dense scatter; the only
+#: path without numpy).  Bit-identical.
+_KERNELS = ("flat", "flat-py")
 
 
 def _batch_schedule(n: int, batch_size: int | None) -> list[range]:
@@ -441,14 +443,15 @@ class PrunedLandmarkLabeling:
         ``1`` restores the classic fully sequential prune discipline
         (slightly smaller labels, no intra-batch parallelism).
     kernel:
-        Query-kernel selection.  ``"flat"`` (default) freezes the
-        labels into a :class:`FlatLabelStore` on the first batched
-        query and uses the vectorized numpy kernel when numpy is
-        importable; ``"flat-py"`` forces the stdlib dense-scatter
-        kernel on the same flat store; ``"dict"`` keeps the legacy
-        per-node dict probing (the pre-flat baseline, retained for
-        benchmarks and differential tests).  All kernels return
-        bit-identical distances.
+        Batched-query kernel selection.  Every read — ``distance``,
+        ``distances_from``, ``path``, ``label_of``, the size
+        properties — freezes the labels into one immutable
+        :class:`FlatLabelStore` on first use and reads only that; the
+        per-node rows exist only while building and mutating.
+        ``"flat"`` (default) answers ``distances_from`` with the
+        vectorized numpy kernel when numpy is importable;
+        ``"flat-py"`` forces the stdlib dense-scatter kernel on the
+        same store.  Both return bit-identical distances.
     order_strategy:
         How to order landmarks when ``order`` is not given — see
         :func:`default_landmark_order`.
@@ -503,9 +506,10 @@ class PrunedLandmarkLabeling:
         self.kernel = kernel
         self._use_numpy = kernel == "flat" and numpy_available()
         # label[u] = parallel arrays (landmark ranks asc, distances,
-        # parents) — the build/mutation representation.  Batched queries
-        # freeze it into an immutable FlatLabelStore (``_flat``) and drop
-        # these dicts; mutations thaw it back (see _freeze / _thaw).
+        # parents) — the build/mutation representation only.  The first
+        # query freezes it into an immutable FlatLabelStore (``_flat``),
+        # which every query reads, and drops these dicts; mutations thaw
+        # it back (see _freeze / _thaw).
         self._ranks: dict[Node, list[int]] | None = {u: [] for u in graph.nodes()}
         self._dists: dict[Node, list[float]] | None = {u: [] for u in graph.nodes()}
         self._parents: dict[Node, list[Node | None]] | None = {
@@ -730,9 +734,9 @@ class PrunedLandmarkLabeling:
 
         All three attributes are read before deciding: a concurrent
         freeze publishes the flat store *first* and only then drops the
-        rows, so a reader that catches the drop mid-flight gets ``None``
-        here, falls back to ``self._flat``, and never sees a half-null
-        state.
+        rows, so a freezer that catches the drop mid-flight gets
+        ``None`` here, returns the published store, and never sees a
+        half-null state.
         """
         ranks, dists, parents = self._ranks, self._dists, self._parents
         if ranks is None or dists is None or parents is None:
@@ -740,16 +744,18 @@ class PrunedLandmarkLabeling:
         return ranks, dists, parents
 
     def _freeze(self) -> FlatLabelStore:
-        """Freeze the row dicts into an immutable flat store.
+        """The flat store every query reads, frozen from the rows on first use.
 
         Publish order matters for the engine's share-one-oracle reads:
         ``_flat`` is set before the rows are dropped, so concurrent
         queries always find one complete representation.  Racing
         freezers build identical stores (rows only change under the
         engine's write lock, on private clones), so a duplicate publish
-        is benign.  The ``"dict"`` kernel keeps querying its rows, so
-        for it the store is returned without being published.
+        is benign.
         """
+        flat = self._flat
+        if flat is not None:
+            return flat
         rows = self._rows()
         if rows is None:
             return self._flat
@@ -758,8 +764,6 @@ class PrunedLandmarkLabeling:
         registry = obs.global_registry()
         registry.counter("pll_freezes").inc()
         registry.reservoir("pll_freeze").observe(time.perf_counter() - start)
-        if self.kernel == "dict":
-            return flat
         self._flat = flat
         self._ranks = None
         self._dists = None
@@ -801,19 +805,7 @@ class PrunedLandmarkLabeling:
             if u not in self._rank:
                 raise GraphError(f"node {u!r} not in index")
             return 0.0
-        flat = self._flat
-        if flat is None:
-            rows = self._rows()
-            if rows is None:  # frozen mid-call; the store is published
-                flat = self._flat
-            else:
-                ranks, dists, _ = rows
-                try:
-                    return _merge_join_min(ranks[u], dists[u], ranks[v], dists[v])
-                except KeyError as exc:
-                    raise GraphError(
-                        f"node {exc.args[0]!r} not in index"
-                    ) from None
+        flat = self._freeze()
         try:
             return flat.merge_join_rows(self._rank[u], self._rank[v])
         except KeyError as exc:
@@ -831,17 +823,16 @@ class PrunedLandmarkLabeling:
         indexed gather per label entry (``kernel="flat-py"``); with
         numpy the whole store is reduced in a single vectorized pass
         and the source's full distance vector is memoized
-        (``kernel="flat"``).  The legacy ``kernel="dict"`` baseline
-        keeps the per-target merge join.  All kernels minimize the same
-        IEEE-754 sums, so their results are bit-identical; all memoize
-        per source in a bounded FIFO cache, so repeated sweeps from the
+        (``kernel="flat"``).  Both kernels minimize the same IEEE-754
+        sums, so their results are bit-identical; both memoize per
+        source in a bounded FIFO cache, so repeated sweeps from the
         same root (top-k search, lambda sweeps) cost one dict probe per
         target.
 
         Instrumented at batch granularity: each call lands in the
         ``kernel_queries_<k>`` / ``kernel_targets_<k>`` /
         ``kernel_seconds_<k>`` counters for the *effective* kernel
-        (``dict`` / ``flat-py`` / ``numpy``).  A ``pll.query`` child
+        (``flat-py`` / ``numpy``).  A ``pll.query`` child
         span is recorded — only when a trace is active — for *cold*
         sources (no memoized state yet): those calls are where the
         kernel actually works, while warm memo probes would flood the
@@ -850,19 +841,13 @@ class PrunedLandmarkLabeling:
         """
         start = time.perf_counter()
         cold = source not in self._source_cache
-        if self.kernel == "dict":
-            effective = "dict"
-            out = self._distances_from_rows(source, targets)
+        flat = self._freeze()
+        if self._use_numpy:
+            effective = "numpy"
+            out = self._distances_from_vector(flat, source, targets)
         else:
-            flat = self._flat
-            if flat is None:
-                flat = self._freeze()
-            if self._use_numpy:
-                effective = "numpy"
-                out = self._distances_from_vector(flat, source, targets)
-            else:
-                effective = "flat-py"
-                out = self._distances_from_flat(flat, source, targets)
+            effective = "flat-py"
+            out = self._distances_from_flat(flat, source, targets)
         elapsed = time.perf_counter() - start
         _kernel_instruments(effective).inc(1, len(out), elapsed)
         if cold:
@@ -876,39 +861,6 @@ class PrunedLandmarkLabeling:
                     targets=len(out),
                     shard=self._obs_shard,
                 )
-        return out
-
-    def _distances_from_rows(
-        self, source: Node, targets: Iterable[Node]
-    ) -> dict[Node, float]:
-        """Legacy dict-probing kernel: one merge join per target."""
-        all_ranks, all_dists, _ = self._rows()
-        try:
-            src_ranks = all_ranks[source]
-        except KeyError:
-            raise GraphError(f"node {source!r} not in index") from None
-        src_dists = all_dists[source]
-        cache = self._source_cache.get(source)
-        if cache is None:
-            evict_for_insert(self._source_cache, self.MAX_CACHED_SOURCES)
-            cache = self._source_cache[source] = {}
-        out: dict[Node, float] = {}
-        for target in targets:
-            d = cache.get(target)
-            if d is None:
-                if target == source:
-                    d = 0.0
-                else:
-                    try:
-                        d = _merge_join_min(
-                            src_ranks, src_dists, all_ranks[target], all_dists[target]
-                        )
-                    except KeyError:
-                        raise GraphError(
-                            f"node {target!r} not in index"
-                        ) from None
-                cache[target] = d
-            out[target] = d
         return out
 
     def _distances_from_flat(
@@ -1013,51 +965,19 @@ class PrunedLandmarkLabeling:
         return path
 
     def _best_hub(self, u: Node, v: Node) -> Node | None:
-        flat = self._flat
-        if flat is not None:
-            best_rank = flat.best_hub_rank(self._rank[u], self._rank[v])
-        else:
-            rows = self._rows()
-            if rows is None:  # frozen mid-call
-                return self._best_hub(u, v)
-            all_ranks, all_dists, _ = rows
-            ru, du = all_ranks[u], all_dists[u]
-            rv, dv = all_ranks[v], all_dists[v]
-            best, best_rank = _INF, -1
-            i = j = 0
-            while i < len(ru) and j < len(rv):
-                if ru[i] == rv[j]:
-                    total = du[i] + dv[j]
-                    if total < best:
-                        best, best_rank = total, ru[i]
-                    i += 1
-                    j += 1
-                elif ru[i] < rv[j]:
-                    i += 1
-                else:
-                    j += 1
+        best_rank = self._freeze().best_hub_rank(self._rank[u], self._rank[v])
         if best_rank < 0:
             return None
         return self._order[best_rank]
 
     def _parent_entry(self, node: Node, hub_rank: int) -> tuple[bool, Node | None]:
         """``(found, parent)`` for ``node``'s label entry at ``hub_rank``."""
-        flat = self._flat
-        if flat is not None:
-            start, stop = flat.row_bounds(self._rank[node])
-            idx = bisect_left(flat.ranks, hub_rank, start, stop)
-            if idx < stop and flat.ranks[idx] == hub_rank:
-                parent_rank = flat.parents[idx]
-                return True, None if parent_rank < 0 else self._order[parent_rank]
-            return False, None
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self._parent_entry(node, hub_rank)
-        all_ranks, _, all_parents = rows
-        ranks = all_ranks[node]
-        idx = bisect_left(ranks, hub_rank)
-        if idx < len(ranks) and ranks[idx] == hub_rank:
-            return True, all_parents[node][idx]
+        flat = self._freeze()
+        start, stop = flat.row_bounds(self._rank[node])
+        idx = bisect_left(flat.ranks, hub_rank, start, stop)
+        if idx < stop and flat.ranks[idx] == hub_rank:
+            parent_rank = flat.parents[idx]
+            return True, None if parent_rank < 0 else self._order[parent_rank]
         return False, None
 
     def _walk_to_hub(self, node: Node, hub: Node) -> list[Node]:
@@ -1099,8 +1019,8 @@ class PrunedLandmarkLabeling:
         not absorbed yet, exactly as the shared live graph did on the
         pre-clone in-place path — the caller's replayed ``add_node`` /
         ``insert_edge`` steps close that gap.  Unlike
-        :meth:`from_labels` (which guards untrusted snapshot bytes),
-        cloning a live in-process index is a trusted path, so no
+        :meth:`from_flat_labels` (which guards untrusted snapshot
+        bytes), cloning a live in-process index is a trusted path, so no
         permutation check applies.  ``pll_build_count`` is not bumped.
         """
         index = type(self).__new__(type(self))
@@ -1133,54 +1053,6 @@ class PrunedLandmarkLabeling:
     # ------------------------------------------------------------------
     # persistence hooks (see repro.storage)
     # ------------------------------------------------------------------
-    def export_labels(self) -> dict:
-        """The complete index state as plain containers.
-
-        Returns ``{"order", "ranks", "dists", "parents",
-        "incremental_updates"}`` where ``ranks``/``dists``/``parents``
-        are lists aligned with ``order`` (one label per node, in
-        landmark-rank order) and parents are encoded as *ranks* into
-        ``order`` (``-1`` for the landmark's own root entry).  The
-        encoding is lossless: :meth:`from_labels` reconstructs an index
-        whose labels — and therefore distances *and* reconstructed
-        paths — are bit-identical to this one.  The storage layer packs
-        these lists into compact binary arrays; this method stays
-        format-agnostic.  (:meth:`export_flat_labels` is the zero-copy
-        sibling that hands the codec flat columns directly.)
-        """
-        flat = self._flat
-        if flat is not None:
-            ranks: list[list[int]] = []
-            dists: list[list[float]] = []
-            parents: list[list[int]] = []
-            for row in range(flat.num_rows):
-                row_ranks, row_dists, row_parents = flat.row_lists(row)
-                ranks.append(row_ranks)
-                dists.append(row_dists)
-                parents.append(row_parents)  # already rank-encoded
-            return {
-                "order": list(self._order),
-                "ranks": ranks,
-                "dists": dists,
-                "parents": parents,
-                "incremental_updates": self.incremental_updates,
-            }
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self.export_labels()
-        all_ranks, all_dists, all_parents = rows
-        rank = self._rank
-        return {
-            "order": list(self._order),
-            "ranks": [all_ranks[u] for u in self._order],
-            "dists": [all_dists[u] for u in self._order],
-            "parents": [
-                [-1 if p is None else rank[p] for p in all_parents[u]]
-                for u in self._order
-            ],
-            "incremental_updates": self.incremental_updates,
-        }
-
     def export_flat_labels(self) -> dict:
         """The complete index state as flat columns — zero-copy when frozen.
 
@@ -1194,9 +1066,7 @@ class PrunedLandmarkLabeling:
         callers must treat them as read-only.  :meth:`from_flat_labels`
         adopts them back without inflation.
         """
-        flat = self._flat
-        if flat is None:
-            flat = self._freeze()
+        flat = self._freeze()
         return {
             "order": list(self._order),
             "counts": flat.row_counts(),
@@ -1207,65 +1077,18 @@ class PrunedLandmarkLabeling:
         }
 
     @classmethod
-    def from_labels(
-        cls, graph: Graph, state: dict, *, kernel: str = "flat"
-    ) -> "PrunedLandmarkLabeling":
-        """Rebuild an index from :meth:`export_labels` output — no build.
-
-        ``graph`` must be the graph the labels were computed over (the
-        warm-start path reconstructs it from the same snapshot, so the
-        pairing is consistent by construction); ``order`` must be a
-        permutation of its nodes, which is the one structural invariant
-        cheap enough to verify here.  The restored index never runs a
-        pruned Dijkstra, so :func:`pll_build_count` is *not* bumped —
-        that is the entire point of warm starts, and what the snapshot
-        benchmark asserts.
-        """
-        if kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
-            )
-        order = list(state["order"])
-        if set(order) != set(graph.nodes()):
-            raise GraphError(
-                "snapshot labels do not match the graph: order is not a "
-                "permutation of the graph's nodes"
-            )
-        index = cls.__new__(cls)
-        index._graph = graph
-        index._order = order
-        index._rank = {node: i for i, node in enumerate(order)}
-        index.workers = 1
-        index.kernel = kernel
-        index._use_numpy = kernel == "flat" and numpy_available()
-        index._ranks = {}
-        index._dists = {}
-        index._parents = {}
-        for node, ranks, dists, parents in zip(
-            order, state["ranks"], state["dists"], state["parents"]
-        ):
-            index._ranks[node] = list(ranks)
-            index._dists[node] = list(dists)
-            index._parents[node] = [
-                None if p < 0 else order[p] for p in parents
-            ]
-        index._flat = None
-        index._source_cache = {}
-        index.incremental_updates = int(state["incremental_updates"])
-        return index
-
-    @classmethod
     def from_flat_labels(
         cls, graph: Graph, state: dict
     ) -> "PrunedLandmarkLabeling":
         """Adopt :meth:`export_flat_labels` columns — no build, no inflation.
 
-        The warm-start twin of :meth:`from_labels`: the decoded snapshot
-        columns become the live query representation directly, so
-        restoring an index performs no per-entry work at all (rows are
-        materialized lazily only if the index is later mutated).  The
-        same permutation guard applies; column-length disagreement (a
-        truncated snapshot) raises :class:`GraphError`.
+        The warm-start path: the decoded snapshot columns become the
+        live query representation directly, so restoring an index
+        performs no per-entry work at all (rows are materialized lazily
+        only if the index is later mutated).  ``order`` must be a
+        permutation of ``graph``'s nodes (the one structural invariant
+        cheap enough to verify here); that mismatch, or column-length
+        disagreement (a truncated snapshot), raises :class:`GraphError`.
         ``pll_build_count`` is not bumped.
         """
         order = list(state["order"])
@@ -1321,26 +1144,13 @@ class PrunedLandmarkLabeling:
 
     @property
     def total_label_entries(self) -> int:
-        flat = self._flat
-        if flat is not None:
-            return flat.total_entries
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self.total_label_entries
-        return sum(len(r) for r in rows[0].values())
+        return self._freeze().total_entries
 
     def label_of(self, node: Node) -> list[tuple[Node, float]]:
         """Return ``node``'s label as ``[(landmark, distance), ...]``."""
         order = self._order
-        flat = self._flat
-        if flat is not None:
-            row_ranks, row_dists, _ = flat.row_lists(self._rank[node])
-            return [(order[r], d) for r, d in zip(row_ranks, row_dists)]
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self.label_of(node)
-        all_ranks, all_dists, _ = rows
-        return [(order[r], d) for r, d in zip(all_ranks[node], all_dists[node])]
+        row_ranks, row_dists, _ = self._freeze().row_lists(self._rank[node])
+        return [(order[r], d) for r, d in zip(row_ranks, row_dists)]
 
     def labels(self) -> dict[Node, list[tuple[Node, float]]]:
         """The whole index as ``{node: [(landmark, distance), ...]}``.

@@ -34,9 +34,10 @@ contributes ``inf``), so their answers are bit-identical to each other
 and to the merge join — the byte-identity contract the engine, the
 replica pool and the snapshot round-trip tests all pin.
 
-The store is immutable: mutation paths in :mod:`repro.graph.pll` thaw
-it back into per-node lists, apply their resumed pruned Dijkstras, and
-re-freeze lazily on the next batched query.
+The store is the only representation :mod:`repro.graph.pll` queries
+read, and it is immutable: mutation paths thaw it back into per-node
+lists, apply their resumed pruned Dijkstras, and re-freeze lazily on
+the next query.
 """
 
 from __future__ import annotations

@@ -83,7 +83,6 @@ class ShardedPLLOracle:
         *,
         shards: int | None = None,
         workers: int = 1,
-        kernel: str = "flat",
         order_strategy: str = "degree",
     ) -> None:
         if plan is None:
@@ -94,7 +93,7 @@ class ShardedPLLOracle:
         self._shards: list[PrunedLandmarkLabeling] = []
         for i, sub in enumerate(self._subgraphs):
             pll = PrunedLandmarkLabeling(
-                sub, workers=workers, kernel=kernel, order_strategy=order_strategy
+                sub, workers=workers, order_strategy=order_strategy
             )
             pll._obs_shard = i
             self._shards.append(pll)

@@ -42,7 +42,6 @@ TRADEOFFS = (0.0, 0.6, 1.0)
 ORACLES = (
     ("pll-flat", None, "flat"),
     ("pll-flat-py", None, "flat-py"),
-    ("pll-dict", None, "dict"),
     ("dijkstra", None, None),
     ("pll-shards-2", 2, None),
 )

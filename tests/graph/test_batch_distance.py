@@ -102,9 +102,9 @@ def test_parallel_build_identical_labels(seed):
     sequential = PrunedLandmarkLabeling(g, workers=1)
     parallel = PrunedLandmarkLabeling(g, workers=2)
     assert sequential.labels() == parallel.labels()
-    # export_labels carries the parent pointers (rank-encoded), so this
-    # pins full label equality regardless of the active representation.
-    assert sequential.export_labels() == parallel.export_labels()
+    # export_flat_labels carries the parent pointers (rank-encoded), so
+    # this pins full label equality, parents included.
+    assert sequential.export_flat_labels() == parallel.export_flat_labels()
     assert sequential.total_label_entries == parallel.total_label_entries
 
 

@@ -71,7 +71,7 @@ def test_restored_labels_are_bit_identical(engine, tmp_path):
         for key, (_graph, live_oracle) in cache_live.items():
             warm_oracle = cache_warm[key][1]
             assert isinstance(warm_oracle, PrunedLandmarkLabeling)
-            assert warm_oracle.export_labels() == live_oracle.export_labels()
+            assert warm_oracle.export_flat_labels() == live_oracle.export_flat_labels()
 
 
 def test_network_history_round_trips(engine, tmp_path):
@@ -164,6 +164,46 @@ def test_out_of_range_label_ranks_are_corrupt_not_indexerror(engine, tmp_path):
     write_container(path, meta, sections)  # CRCs recomputed: "valid" file
     with pytest.raises(CorruptSnapshotError, match="parent rank out of range"):
         TeamFormationEngine.from_snapshot(path)
+
+
+def _tampered(engine, section: str, edit) -> bytes:
+    """The engine's snapshot with one JSON section edited and every CRC
+    recomputed: structurally valid bytes carrying insane content."""
+    from repro.storage.format import decode_container, encode_container
+
+    meta, sections = decode_container(engine.snapshot_bytes())
+    doc = json.loads(sections[section])
+    edit(doc)
+    sections[section] = json.dumps(doc).encode("utf-8")
+    return encode_container(meta, sections)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["edge_scale", "authority_scale"])
+def test_non_finite_or_non_positive_scale_is_corrupt(engine, name, scale):
+    blob = _tampered(engine, "engine", lambda doc: doc.update({name: scale}))
+    with pytest.raises(CorruptSnapshotError, match=name):
+        TeamFormationEngine.from_snapshot_bytes(blob)
+
+
+@pytest.mark.parametrize("weight", [-1.0, float("nan")])
+def test_invalid_edge_weight_is_corrupt(engine, weight):
+    def edit(doc):
+        doc["edges"][0][2] = weight
+
+    blob = _tampered(engine, "network", edit)
+    with pytest.raises(CorruptSnapshotError, match="invalid edge weight"):
+        TeamFormationEngine.from_snapshot_bytes(blob)
+
+
+def test_huge_claimed_version_is_corrupt_without_allocating(engine):
+    def edit(doc):
+        doc["network_version"] = 2**40
+        doc["journal_floor"] = 0
+
+    blob = _tampered(engine, "network", edit)
+    with pytest.raises(CorruptSnapshotError, match="contiguous tail"):
+        TeamFormationEngine.from_snapshot_bytes(blob)
 
 
 def test_corrupt_snapshot_never_yields_an_engine(engine, tmp_path):

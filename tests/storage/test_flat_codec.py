@@ -1,19 +1,20 @@
-"""The flat (zero-copy) label codec path against the legacy one.
+"""The flat (zero-copy) label codec: pinned bytes, round trip, corruption.
 
-PR-6 serves queries from flat columns
-(:class:`repro.graph.pll_kernel.FlatLabelStore`), so snapshots now
-travel ``export_flat_labels`` → :func:`encode_flat_labels` →
+Queries are served from flat columns
+(:class:`repro.graph.pll_kernel.FlatLabelStore`), and snapshots travel
+``export_flat_labels`` → :func:`encode_flat_labels` →
 :func:`decode_labels_flat` → ``from_flat_labels`` with no per-entry
 Python work.  The contracts pinned here:
 
-* **byte identity** — ``encode_flat_labels`` produces the exact bytes
-  ``encode_labels`` produced from the per-node-list export, so the
-  on-disk format is unchanged and old snapshots stay loadable;
+* **byte identity** — ``encode_flat_labels`` writes exactly
+  :data:`PINNED_LABEL_BYTES`, the label section the per-node-list
+  encoder of format version 1 wrote for the same index, so the on-disk
+  format is unchanged and old snapshots stay loadable;
 * **round-trip identity** — decode → adopt restores an index that paid
   zero PLL builds and answers bit-identically;
 * **corruption rejection** — truncation and insane-but-CRC-valid
   columns (bad counts, out-of-range hub/parent ranks) raise
-  :class:`CorruptSnapshotError` from both decoders.
+  :class:`CorruptSnapshotError`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,25 @@ from repro.graph.adjacency import Graph, GraphError
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
 from repro.storage import (
     CorruptSnapshotError,
-    decode_labels,
     decode_labels_flat,
     encode_flat_labels,
-    encode_labels,
 )
 from repro.storage.codec import _LABEL_HEAD
+
+#: The label section of ``sample_index(mutate=True)`` as the per-node-list
+#: encoder wrote it (274 bytes): 6 nodes, 12 entries, incremental
+#: updates 3.
+PINNED_LABEL_BYTES = bytes.fromhex(
+    "06000000260000005b2262222c202263222c202264222c202261222c20226973"
+    "6c616e64222c20226c617465225d030000000c00000000000000010000000200"
+    "0000030000000300000001000000020000000000000000000000010000000000"
+    "0000010000000200000000000000020000000300000004000000040000000500"
+    "00000000000000000000000000000000f83f0000000000000000000000000000"
+    "0240000000000000e83f0000000000000000000000000000d03f000000000000"
+    "004000000000000000000000000000000000000000000000e03f000000000000"
+    "0000ffffffff00000000ffffffff0100000001000000ffffffff000000000200"
+    "0000ffffffffffffffff04000000ffffffff"
+)
 
 
 def sample_index(*, mutate: bool = False) -> PrunedLandmarkLabeling:
@@ -48,32 +62,25 @@ def sample_index(*, mutate: bool = False) -> PrunedLandmarkLabeling:
     return pll
 
 
-@pytest.mark.parametrize("mutate", [False, True])
-def test_flat_encoder_is_byte_identical_to_legacy(mutate):
-    pll = sample_index(mutate=mutate)
-    assert encode_flat_labels(pll.export_flat_labels()) == encode_labels(
-        pll.export_labels()
-    )
-
-
-def test_flat_and_legacy_decoders_agree():
+def test_flat_encoder_writes_the_pinned_bytes():
     pll = sample_index(mutate=True)
-    blob = encode_flat_labels(pll.export_flat_labels())
-    legacy = decode_labels(blob)
-    flat = decode_labels_flat(blob)
-    assert flat["order"] == legacy["order"]
-    assert flat["incremental_updates"] == legacy["incremental_updates"]
-    assert flat["counts"] == [len(ranks) for ranks in legacy["ranks"]]
-    start = 0
-    for ranks, dists, parents in zip(
-        legacy["ranks"], legacy["dists"], legacy["parents"]
-    ):
-        stop = start + len(ranks)
-        assert flat["ranks"][start:stop].tolist() == ranks
-        assert flat["dists"][start:stop].tolist() == dists
-        assert flat["parents"][start:stop].tolist() == parents
-        start = stop
-    assert start == len(flat["ranks"])
+    assert encode_flat_labels(pll.export_flat_labels()) == PINNED_LABEL_BYTES
+
+
+def test_pinned_bytes_restore_an_identical_index():
+    pll = sample_index(mutate=True)
+    graph = pll._graph
+    nodes = list(graph.nodes())
+    restored = PrunedLandmarkLabeling.from_flat_labels(
+        graph, decode_labels_flat(PINNED_LABEL_BYTES)
+    )
+    assert restored.export_flat_labels() == pll.export_flat_labels()
+    for source in nodes:
+        assert restored.distances_from(source, nodes) == pll.distances_from(
+            source, nodes
+        )
+        for target in nodes:
+            assert restored.distance(source, target) == pll.distance(source, target)
 
 
 def test_decode_round_trip_is_zero_build_and_bit_identical():
@@ -86,7 +93,7 @@ def test_decode_round_trip_is_zero_build_and_bit_identical():
     builds = pll_build_count()
     restored = PrunedLandmarkLabeling.from_flat_labels(graph, decode_labels_flat(blob))
     assert pll_build_count() == builds
-    assert restored.export_labels() == pll.export_labels()
+    assert restored.export_flat_labels() == pll.export_flat_labels()
     for source in nodes:
         assert restored.distances_from(source, nodes) == expected[source]
     # And the restored index re-encodes to the identical bytes.
@@ -94,21 +101,21 @@ def test_decode_round_trip_is_zero_build_and_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# corruption rejection (shared by both decoders)
+# corruption rejection
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def blob() -> bytes:
     return encode_flat_labels(sample_index().export_flat_labels())
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
+@pytest.mark.parametrize("decoder", [decode_labels_flat])
 def test_truncated_blob_rejected(blob, decoder):
     for cut in (1, _LABEL_HEAD.size + 2, len(blob) // 2, len(blob) - 1):
         with pytest.raises(CorruptSnapshotError, match="truncat|shorter"):
             decoder(blob[:cut])
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
+@pytest.mark.parametrize("decoder", [decode_labels_flat])
 def test_counts_disagreeing_with_header_rejected(blob, decoder):
     n_nodes, order_len = _LABEL_HEAD.unpack_from(blob)
     counts_at = _LABEL_HEAD.size + order_len + struct.calcsize("<IQ")
@@ -128,7 +135,7 @@ def _encode_with_column(pll, column: str, index: int, value: int) -> bytes:
     return encode_flat_labels(state)
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
+@pytest.mark.parametrize("decoder", [decode_labels_flat])
 def test_out_of_range_hub_rank_rejected(decoder):
     pll = sample_index()
     corrupt = _encode_with_column(pll, "ranks", 0, len(pll._order))
@@ -136,7 +143,7 @@ def test_out_of_range_hub_rank_rejected(decoder):
         decoder(corrupt)
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
+@pytest.mark.parametrize("decoder", [decode_labels_flat])
 def test_out_of_range_parent_rank_rejected(decoder):
     pll = sample_index()
     for bad in (-2, len(pll._order)):
@@ -145,7 +152,7 @@ def test_out_of_range_parent_rank_rejected(decoder):
             decoder(corrupt)
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
+@pytest.mark.parametrize("decoder", [decode_labels_flat])
 def test_undecodable_landmark_order_rejected(blob, decoder):
     start = _LABEL_HEAD.size
     corrupt = blob[:start] + b"\xff" + blob[start + 1 :]
